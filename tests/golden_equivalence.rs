@@ -1,11 +1,23 @@
-//! Pins the engine hot-loop rework bit-identical to the PR-1 engine.
+//! Pins the engine's observable behaviour bit-identical across engine refactors.
 //!
-//! The fixture `fixtures/golden_runs.txt` was generated by running
-//! `regenerate_golden_fixture` (below) against the engine **before** the
-//! `RoundBuffers` / counting-sort rework, i.e. against the per-round-allocating
-//! `par_sort_unstable` implementation of PR 1. The main test replays the exact same
-//! (topology × protocol × seed) matrix on the current engine and demands bit-identical
-//! `RunResult`s, per-round `RoundRecord` streams and final server loads.
+//! The fixture `fixtures/golden_runs.txt` holds three blocks, each generated by
+//! `regenerate_golden_fixture` (below) on the engine that preceded the refactor it
+//! guards:
+//!
+//! * the batch matrix (topology × every `ProtocolSpec` × seed), generated before the
+//!   `RoundBuffers` / counting-sort rework, against the per-round-allocating
+//!   `par_sort_unstable` engine;
+//! * fault rows: crash-stop, lying loads, message loss, stragglers and all four at
+//!   once, each wrapped around SAER, RAES and k-choice;
+//! * online rows: Poisson arrivals with geometric service on SAER, RAES, JSQ and
+//!   k-choice, digesting the arrival/departure record fields and every ball's
+//!   settle latency too.
+//!
+//! The fault and online rows were appended (the batch block unchanged) before the
+//! protocol trait was collapsed to one object-safe trait with engine-owned `u64`
+//! server state. The main test replays the exact same matrix on the current engine
+//! and demands bit-identical `RunResult`s, per-round `RoundRecord` streams and final
+//! server loads.
 //!
 //! If this test ever fails, the engine's observable behaviour changed. That is only
 //! acceptable for a deliberate semantic change, in which case regenerate the fixture
@@ -64,21 +76,90 @@ fn fnv1a(hash: &mut u64, word: u64) {
     }
 }
 
+/// The fault plans of the fault rows: each kind alone, then all four at once.
+fn fault_plans() -> Vec<FaultPlan> {
+    vec![
+        FaultPlan::none().crash(2, 0.3),
+        FaultPlan::none().lying_load(0.5, 0.5),
+        FaultPlan::none().message_loss(0.2, 0.1),
+        FaultPlan::none().stragglers(0.3, 0.5),
+        FaultPlan::none()
+            .crash(2, 0.3)
+            .lying_load(0.25, 0.5)
+            .message_loss(0.1, 0.05)
+            .stragglers(0.2, 0.5),
+    ]
+}
+
+/// The protocols the fault rows wrap: the paper's two plus the k-choice baseline,
+/// whose surplus accepts exercise the release path under faults. The thresholds are
+/// tight so that every run lasts several rounds and each fault kind gets to bite.
+fn faulted_protocols() -> Vec<ProtocolSpec> {
+    vec![
+        ProtocolSpec::Saer { c: 2, d: 2 },
+        ProtocolSpec::Raes { c: 2, d: 2 },
+        ProtocolSpec::KChoice { k: 2, capacity: 2 },
+    ]
+}
+
+/// The protocols of the online rows: the paper's two, whose burned / saturated
+/// servers meet departures, plus the two multi-choice baselines, whose surplus
+/// accepts are released in the same rounds as departures free capacity.
+fn online_protocols() -> Vec<ProtocolSpec> {
+    vec![
+        ProtocolSpec::Saer { c: 4, d: 2 },
+        ProtocolSpec::Raes { c: 4, d: 2 },
+        ProtocolSpec::Jsq { d: 2 },
+        ProtocolSpec::KChoice { k: 2, capacity: 8 },
+    ]
+}
+
+/// Poisson arrivals at a quarter of the client count per round for 40 rounds, each
+/// ball served for a geometric number of rounds.
+fn online_workload(clients: usize) -> OnlineWorkload {
+    OnlineWorkload {
+        arrivals: ArrivalProcess::Poisson {
+            rate: clients as f64 / 4.0,
+            rounds: 40,
+        },
+        service: ServiceDistribution::Geometric { p: 0.25 },
+    }
+}
+
+/// What wraps a row's protocol run, beyond the batch defaults.
+enum Extra {
+    None,
+    Faults(FaultPlan),
+    Online,
+}
+
 /// Runs one cell of the matrix and renders its observable behaviour as one fixture
 /// line: every `RunResult` field in the clear plus an FNV-1a digest of the full
-/// per-round record stream and the final server loads.
-fn run_case(spec: &GraphSpec, protocol: &ProtocolSpec, seed: u64) -> String {
+/// per-round record stream and the final server loads. Online rows also digest the
+/// arrival/departure fields of every record and every ball's settle latency.
+fn run_case(spec: &GraphSpec, protocol: &ProtocolSpec, seed: u64, extra: &Extra) -> String {
     let graph = spec.build(seed).expect("fixture specs are valid");
     let demand = match protocol {
         ProtocolSpec::Saer { d, .. } | ProtocolSpec::Raes { d, .. } => *d,
         _ => 1,
     };
-    let mut sim = Simulation::builder(&graph)
-        .protocol(protocol.build())
+    let (built, label) = match extra {
+        Extra::None => (protocol.build(), protocol.label()),
+        Extra::Faults(plan) => (
+            plan.wrap(protocol.build(), seed),
+            format!("{}+faults[{}]", protocol.label(), plan.label()),
+        ),
+        Extra::Online => (protocol.build(), format!("{}+online", protocol.label())),
+    };
+    let mut builder = Simulation::builder(&graph)
+        .protocol(built)
         .demand(Demand::Constant(demand))
         .seed(seed)
-        .max_rounds(MAX_ROUNDS)
-        .build();
+        .max_rounds(MAX_ROUNDS);
+    if let Extra::Online = extra {
+        builder = builder.workload(online_workload(graph.num_clients()));
+    }
+    let mut sim = builder.build();
     let mut digest = 0xCBF2_9CE4_8422_2325u64;
     while !sim.is_complete() && sim.round() < MAX_ROUNDS {
         let record = sim.step();
@@ -93,15 +174,25 @@ fn run_case(spec: &GraphSpec, protocol: &ProtocolSpec, seed: u64) -> String {
         ] {
             fnv1a(&mut digest, word);
         }
+        if let Extra::Online = extra {
+            for word in [record.arrivals, record.departures, record.in_service_after] {
+                fnv1a(&mut digest, word);
+            }
+        }
     }
     for &load in sim.server_loads() {
         fnv1a(&mut digest, load as u64);
+    }
+    if let Some(latencies) = sim.settle_latencies() {
+        for latency in latencies {
+            fnv1a(&mut digest, latency as u64);
+        }
     }
     let result = sim.result();
     format!(
         "{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{:016x}",
         spec.label(),
-        protocol.label(),
+        label,
         seed,
         result.completed,
         result.rounds,
@@ -119,7 +210,29 @@ fn current_lines() -> Vec<String> {
     for spec in topologies() {
         for protocol in protocols() {
             for &seed in &SEEDS {
-                lines.push(run_case(&spec, &protocol, seed));
+                lines.push(run_case(&spec, &protocol, seed, &Extra::None));
+            }
+        }
+    }
+    // The fault and online rows run on two topologies: a regular graph and the
+    // skewed example, whose uneven degrees spread the faults and arrivals unevenly.
+    let extra_topologies = [
+        GraphSpec::Regular { n: 96, delta: 12 },
+        GraphSpec::SkewedExample { n: 64 },
+    ];
+    for spec in &extra_topologies {
+        for plan in fault_plans() {
+            for protocol in faulted_protocols() {
+                for &seed in &SEEDS {
+                    lines.push(run_case(spec, &protocol, seed, &Extra::Faults(plan)));
+                }
+            }
+        }
+    }
+    for spec in &extra_topologies {
+        for protocol in online_protocols() {
+            for &seed in &SEEDS {
+                lines.push(run_case(spec, &protocol, seed, &Extra::Online));
             }
         }
     }
@@ -147,7 +260,7 @@ fn engine_matches_pr1_golden_fixture() {
     assert_eq!(
         mismatches,
         0,
-        "{mismatches} of {} cases diverged from the PR-1 engine",
+        "{mismatches} of {} cases diverged from the golden fixture",
         actual.len()
     );
 }
