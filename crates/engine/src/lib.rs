@@ -6,13 +6,13 @@
 //! request with a single accept/reject bit. This crate is that model as an executable
 //! substrate:
 //!
-//! * [`protocol::Protocol`] — the small trait a protocol implements: per-server state
-//!   plus the threshold rule deciding how many of a round's incoming requests to accept.
-//!   SAER, RAES and the baselines live in the `clb-protocols` crate.
-//! * [`erased::ErasedProtocol`] — the object-safe mirror of [`Protocol`]: any protocol
-//!   can be boxed behind `Box<dyn ErasedProtocol>` (which itself implements
-//!   [`Protocol`]) and picked at runtime, while running through the very same
-//!   [`Simulation`] hot loop with bit-identical results.
+//! * [`protocol::Protocol`] — the small object-safe trait a protocol implements: the
+//!   threshold rule deciding how many of a round's incoming requests to accept, given
+//!   one engine-owned `u64` state word per server (SAER's received-request count; the
+//!   other rules decide from the current load and ignore it). The simulation holds its
+//!   protocol as a `Box<dyn Protocol>`, so a protocol picked at runtime and one named
+//!   in code run through the same hot loop. SAER, RAES and the baselines live in the
+//!   `clb-protocols` crate.
 //! * [`Simulation`] — executes rounds: every alive ball picks destination servers
 //!   uniformly at random from its owner's neighbourhood (symmetric, non-adaptive),
 //!   servers apply the protocol's threshold rule, and accepted balls settle. The
@@ -30,8 +30,10 @@
 //!   server-major for phase 2, the per-server accept counts, the per-piece settle
 //!   scratch, the closed census and the double-buffered alive-ball list) lives in a
 //!   `RoundBuffers` struct owned by the simulation and sized once at build time —
-//!   piece descriptors live on the stack. See the `simulation` module docs and the
-//!   counting-allocator harness in `tests/alloc_free.rs`.
+//!   piece descriptors live on the stack. Building makes a number of allocations
+//!   that does not grow with the server count: the per-server protocol state is one
+//!   dense `Vec<u64>`. See the `simulation` module docs and the counting-allocator
+//!   harness in `tests/alloc_free.rs`.
 //! * [`observe`] — round observers that record the quantities the paper's analysis
 //!   tracks: the burned/saturated fraction `S_t`, the per-neighbourhood request mass
 //!   `r_t(N(v))`, alive balls, loads and work. Observers can be borrowed per run
@@ -58,10 +60,8 @@
 //! // A toy protocol: servers accept everything (classic one-choice).
 //! struct AcceptAll;
 //! impl Protocol for AcceptAll {
-//!     type ServerState = ();
-//!     fn init_server(&self) -> () {}
-//!     fn server_decide(&self, _state: &mut (), ctx: &ServerCtx) -> u32 { ctx.incoming }
-//!     fn server_is_closed(&self, _state: &(), _load: u32) -> bool { false }
+//!     fn server_decide(&self, _state: &mut u64, ctx: &ServerCtx) -> u32 { ctx.incoming }
+//!     fn server_is_closed(&self, _state: u64, _load: u32) -> bool { false }
 //! }
 //!
 //! let graph = generators::regular_random(64, 16, 7).unwrap();
@@ -79,29 +79,25 @@
 //! # Example: choosing the protocol at runtime
 //!
 //! ```
-//! use clb_engine::{erase, Demand, ErasedProtocol, Simulation};
-//! # use clb_engine::protocol::{Protocol, ServerCtx};
+//! use clb_engine::{Demand, Protocol, Simulation};
+//! # use clb_engine::protocol::ServerCtx;
 //! # struct AcceptAll;
 //! # impl Protocol for AcceptAll {
-//! #     type ServerState = ();
-//! #     fn init_server(&self) -> () {}
-//! #     fn server_decide(&self, _state: &mut (), ctx: &ServerCtx) -> u32 { ctx.incoming }
-//! #     fn server_is_closed(&self, _state: &(), _load: u32) -> bool { false }
+//! #     fn server_decide(&self, _state: &mut u64, ctx: &ServerCtx) -> u32 { ctx.incoming }
+//! #     fn server_is_closed(&self, _state: u64, _load: u32) -> bool { false }
 //! # }
 //! # struct RejectFirstRound;
 //! # impl Protocol for RejectFirstRound {
-//! #     type ServerState = ();
-//! #     fn init_server(&self) -> () {}
-//! #     fn server_decide(&self, _state: &mut (), ctx: &ServerCtx) -> u32 {
+//! #     fn server_decide(&self, _state: &mut u64, ctx: &ServerCtx) -> u32 {
 //! #         if ctx.round > 1 { ctx.incoming } else { 0 }
 //! #     }
-//! #     fn server_is_closed(&self, _state: &(), _load: u32) -> bool { false }
+//! #     fn server_is_closed(&self, _state: u64, _load: u32) -> bool { false }
 //! # }
 //! let graph = clb_graph::generators::regular_random(64, 16, 7).unwrap();
 //! // e.g. from a CLI flag:
 //! let patient = true;
-//! let protocol: Box<dyn ErasedProtocol> =
-//!     if patient { erase(RejectFirstRound) } else { erase(AcceptAll) };
+//! let protocol: Box<dyn Protocol> =
+//!     if patient { Box::new(RejectFirstRound) } else { Box::new(AcceptAll) };
 //! let result = Simulation::builder(&graph)
 //!     .protocol(protocol)
 //!     .demand(Demand::Constant(2))
@@ -116,7 +112,6 @@
 
 pub mod config;
 pub mod demand;
-pub mod erased;
 pub mod observe;
 pub mod protocol;
 pub mod simulation;
@@ -124,7 +119,6 @@ pub mod workload;
 
 pub use config::SimConfig;
 pub use demand::Demand;
-pub use erased::{erase, ErasedProtocol, ErasedServerState};
 pub use observe::{
     AliveBallsObserver, BurnedFractionObserver, MaxLoadObserver, NeighborhoodMassObserver,
     Observer, RoundView, TrajectoryObserver,

@@ -252,20 +252,16 @@ mod tests {
     /// Capacity-limited servers: accept while cumulative received ≤ cap, then close.
     struct Capped(u32);
     impl Protocol for Capped {
-        type ServerState = u32;
-        fn init_server(&self) -> u32 {
-            0
-        }
-        fn server_decide(&self, state: &mut u32, ctx: &ServerCtx) -> u32 {
-            *state += ctx.incoming;
-            if *state > self.0 {
+        fn server_decide(&self, state: &mut u64, ctx: &ServerCtx) -> u32 {
+            *state += u64::from(ctx.incoming);
+            if *state > u64::from(self.0) {
                 0
             } else {
                 ctx.incoming
             }
         }
-        fn server_is_closed(&self, state: &u32, _load: u32) -> bool {
-            *state > self.0
+        fn server_is_closed(&self, state: u64, _load: u32) -> bool {
+            state > u64::from(self.0)
         }
     }
 

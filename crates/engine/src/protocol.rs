@@ -33,67 +33,40 @@ pub enum SettleRule {
 
 /// A symmetric, non-adaptive, threshold-style protocol.
 ///
-/// Implementations keep whatever per-server bookkeeping they need in `ServerState`
-/// (e.g. SAER's cumulative received-request counter and burned flag) and expose the
-/// acceptance rule through [`Protocol::server_decide`].
-pub trait Protocol: Sync {
-    /// Per-server persistent state, initialised by [`Protocol::init_server`].
-    type ServerState: Send + Sync + Clone;
-
-    /// Creates the initial state of a server.
-    fn init_server(&self) -> Self::ServerState;
-
+/// The trait is object-safe: the simulation holds its protocol as a
+/// `Box<dyn Protocol>`, so a protocol chosen at runtime (from a config file, a CLI
+/// flag or a sweep grid) runs through the same hot loop as one named in code.
+///
+/// The only per-server memory the paper's protocols need is one counter — SAER's
+/// cumulative received-request count — so the engine owns one `u64` word per server,
+/// zeroed at build, and hands it to [`Protocol::server_decide`] and
+/// [`Protocol::server_is_closed`]. Rules that decide from the current load alone
+/// (RAES, the baselines) ignore the word.
+pub trait Protocol: Send + Sync {
     /// Number of destination servers each alive ball contacts per round
     /// (1 for SAER/RAES; `k` for the parallel k-choice baseline).
     fn choices_per_round(&self) -> u32 {
         1
     }
 
-    /// Decides how many of the `ctx.incoming` requests the server accepts this round.
+    /// Decides how many of the `ctx.incoming` requests the server accepts this round,
+    /// updating the server's state word if the rule keeps one.
     ///
     /// The engine passes the requests in a canonical deterministic order and accepts the
     /// first `k` of them, where `k` is the returned value (clamped to `ctx.incoming`).
     /// Returning `0` rejects the whole batch; returning `ctx.incoming` accepts it all.
     /// The method is only called for servers that received at least one request.
-    fn server_decide(&self, state: &mut Self::ServerState, ctx: &ServerCtx) -> u32;
+    fn server_decide(&self, state: &mut u64, ctx: &ServerCtx) -> u32;
 
     /// True if the server is currently *closed*: it would reject any request regardless
     /// of the batch size. For SAER this is "burned", for RAES "saturated" (load = c·d).
     /// Observers use this to measure the `S_t` quantity of the paper's analysis.
-    fn server_is_closed(&self, state: &Self::ServerState, current_load: u32) -> bool;
-
-    /// Called when balls that were accepted by this server in the current round settle
-    /// elsewhere (only possible when `choices_per_round() > 1`). `count` balls are
-    /// released; implementations that track cumulative accepted counts should subtract.
-    ///
-    /// The engine aggregates a round's surplus accepts and makes **at most one call per
-    /// server per round**, carrying the server's whole release total, in ascending
-    /// server order after every ball has settled. Implementations must therefore treat
-    /// `count` as a batch (not assume `count == 1`), and may not rely on interleaving
-    /// with other servers' releases.
-    fn server_on_release(&self, state: &mut Self::ServerState, count: u32) {
-        let _ = (state, count);
-    }
+    fn server_is_closed(&self, state: u64, current_load: u32) -> bool;
 
     /// How a multi-accepted ball picks its settle server (see [`SettleRule`]).
     /// Defaults to [`SettleRule::FirstAccepted`], the paper's behaviour.
     fn settle_rule(&self) -> SettleRule {
         SettleRule::FirstAccepted
-    }
-
-    /// Called when `count` previously-settled balls *depart* this server after their
-    /// service time elapses (online workloads only). The engine has already
-    /// decremented the server's load; implementations that gate acceptance on their
-    /// own load bookkeeping should mirror the decrement here. The default keeps the
-    /// state untouched — which is exactly SAER's semantics: its cumulative
-    /// received-request counter never forgets, so a burned server stays burned even
-    /// as traffic drains.
-    ///
-    /// Like [`Protocol::server_on_release`], the engine aggregates a round's
-    /// departures and makes at most one call per server per round, in ascending
-    /// server order, before any request of the round is routed.
-    fn server_on_depart(&self, state: &mut Self::ServerState, count: u32) {
-        let _ = (state, count);
     }
 
     /// A short human-readable name used in reports and experiment tables.
@@ -106,24 +79,28 @@ pub trait Protocol: Sync {
     }
 }
 
+/// Boxes any protocol, so the simulation builder takes a concrete protocol and an
+/// already-boxed one (e.g. from `ProtocolSpec::build`) alike without boxing twice.
+impl<P: Protocol + 'static> From<P> for Box<dyn Protocol> {
+    fn from(protocol: P) -> Self {
+        Box::new(protocol)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    struct UpTo(u32);
+    /// Accepts up to a fixed total, counted in the state word, then closes.
+    struct UpTo(u64);
     impl Protocol for UpTo {
-        type ServerState = u32;
-        fn init_server(&self) -> u32 {
-            0
-        }
-        fn server_decide(&self, state: &mut u32, ctx: &ServerCtx) -> u32 {
-            let room = self.0.saturating_sub(*state);
-            let take = room.min(ctx.incoming);
+        fn server_decide(&self, state: &mut u64, ctx: &ServerCtx) -> u32 {
+            let take = self.0.saturating_sub(*state).min(u64::from(ctx.incoming));
             *state += take;
-            take
+            take as u32
         }
-        fn server_is_closed(&self, state: &u32, _load: u32) -> bool {
-            *state >= self.0
+        fn server_is_closed(&self, state: u64, _load: u32) -> bool {
+            state >= self.0
         }
     }
 
@@ -135,12 +112,14 @@ mod tests {
     #[test]
     fn default_name_is_type_name() {
         assert_eq!(UpTo(3).name(), "UpTo");
+        let boxed: Box<dyn Protocol> = UpTo(3).into();
+        assert_eq!(boxed.name(), "UpTo");
     }
 
     #[test]
     fn decide_and_closed_interact() {
         let p = UpTo(3);
-        let mut s = p.init_server();
+        let mut s = 0;
         let ctx = ServerCtx {
             server: 0,
             round: 1,
@@ -148,7 +127,7 @@ mod tests {
             incoming: 2,
         };
         assert_eq!(p.server_decide(&mut s, &ctx), 2);
-        assert!(!p.server_is_closed(&s, 2));
+        assert!(!p.server_is_closed(s, 2));
         let ctx = ServerCtx {
             server: 0,
             round: 2,
@@ -156,30 +135,11 @@ mod tests {
             incoming: 5,
         };
         assert_eq!(p.server_decide(&mut s, &ctx), 1);
-        assert!(p.server_is_closed(&s, 3));
-    }
-
-    #[test]
-    fn default_release_is_noop() {
-        let p = UpTo(3);
-        let mut s = 2;
-        p.server_on_release(&mut s, 1);
-        assert_eq!(s, 2);
+        assert!(p.server_is_closed(s, 3));
     }
 
     #[test]
     fn default_settle_rule_is_first_accepted() {
         assert_eq!(UpTo(3).settle_rule(), SettleRule::FirstAccepted);
-    }
-
-    #[test]
-    fn default_depart_is_noop() {
-        let p = UpTo(3);
-        let mut s = 2;
-        p.server_on_depart(&mut s, 2);
-        assert_eq!(
-            s, 2,
-            "SAER semantics: state keeps counting after departures"
-        );
     }
 }

@@ -163,12 +163,6 @@ struct RoundBuffers {
     /// Per-piece released-server lists (phase 3); empty when `choices == 1`, which
     /// can never produce surplus accepts.
     release_scratch: Vec<u32>,
-    /// Per-server release tally; kept all-zero between rounds (the aggregation resets
-    /// every slot it touched). Empty when `choices == 1`.
-    release_count: Vec<u32>,
-    /// Servers with at least one release this round; sorted so releases are applied
-    /// in ascending server order. Empty when `choices == 1`.
-    touched_servers: Vec<u32>,
     /// Per-piece server histograms for the parallel sort, piece-major
     /// (`piece_hist[k * S + s]`). Empty when `plan.sort == 1`.
     piece_hist: Vec<u32>,
@@ -183,7 +177,6 @@ struct RoundBuffers {
 impl RoundBuffers {
     fn new(num_servers: usize, total_balls: usize, choices: u32, plan: PiecePlan) -> Self {
         let request_capacity = checked_request_count(total_balls, choices);
-        let k_choice = choices > 1;
         Self {
             request_server: vec![0; request_capacity],
             request_rank: vec![0; request_capacity],
@@ -193,21 +186,11 @@ impl RoundBuffers {
             alive_next: Vec::with_capacity(total_balls),
             alive_scratch: vec![0; total_balls],
             assigned_scratch: vec![0; total_balls],
-            release_scratch: if k_choice {
+            release_scratch: if choices > 1 {
                 vec![0; request_capacity]
             } else {
                 Vec::new()
             },
-            release_count: if k_choice {
-                vec![0; num_servers]
-            } else {
-                Vec::new()
-            },
-            touched_servers: Vec::with_capacity(if k_choice {
-                num_servers.min(request_capacity)
-            } else {
-                0
-            }),
             piece_hist: if plan.sort > 1 {
                 vec![0; plan.sort * num_servers]
             } else {
@@ -399,9 +382,9 @@ struct RebasePiece<'a> {
 }
 
 /// Phase-2 piece: one contiguous server range (states, loads, accept counts).
-struct DecidePiece<'a, S> {
+struct DecidePiece<'a> {
     server_lo: usize,
-    states: &'a mut [S],
+    states: &'a mut [u64],
     loads: &'a mut [u32],
     incoming: &'a [u32],
     accept: &'a mut [u32],
@@ -427,7 +410,7 @@ struct SettlePiece<'a> {
 
 impl SettlePiece<'_> {
     /// Settles every ball in this piece's slot range; surplus accepts are recorded for
-    /// the post-join release aggregation, survivors go to `alive_out` in slot order.
+    /// the post-join load release, survivors go to `alive_out` in slot order.
     ///
     /// Under [`SettleRule::FirstAccepted`] the first accepted choice wins
     /// (`rank < accept_count`). Under [`SettleRule::LeastLoaded`] the accepted choice
@@ -501,8 +484,8 @@ impl SettlePiece<'_> {
 }
 
 /// Census piece: one contiguous server range folding closed flags and max load.
-struct CensusPiece<'a, S> {
-    states: &'a [S],
+struct CensusPiece<'a> {
+    states: &'a [u64],
     loads: &'a [u32],
     closed: &'a mut [bool],
     closed_count: u64,
@@ -521,10 +504,8 @@ struct CensusPiece<'a, S> {
 /// # use clb_engine::protocol::{Protocol, ServerCtx};
 /// # struct AcceptAll;
 /// # impl Protocol for AcceptAll {
-/// #     type ServerState = ();
-/// #     fn init_server(&self) {}
-/// #     fn server_decide(&self, _: &mut (), ctx: &ServerCtx) -> u32 { ctx.incoming }
-/// #     fn server_is_closed(&self, _: &(), _: u32) -> bool { false }
+/// #     fn server_decide(&self, _: &mut u64, ctx: &ServerCtx) -> u32 { ctx.incoming }
+/// #     fn server_is_closed(&self, _: u64, _: u32) -> bool { false }
 /// # }
 /// let graph = clb_graph::generators::regular_random(32, 8, 1).unwrap();
 /// let mut sim = Simulation::builder(&graph)
@@ -537,9 +518,9 @@ struct CensusPiece<'a, S> {
 /// let result = sim.run();
 /// assert_eq!(sim.observer::<MaxLoadObserver>().unwrap().max_load, result.max_load);
 /// ```
-pub struct SimulationBuilder<'g, P: Protocol> {
+pub struct SimulationBuilder<'g> {
     graph: &'g BipartiteGraph,
-    protocol: Option<P>,
+    protocol: Option<Box<dyn Protocol>>,
     demand: Demand,
     config: SimConfig,
     observers: Vec<Box<dyn AnyObserver + Send>>,
@@ -547,7 +528,7 @@ pub struct SimulationBuilder<'g, P: Protocol> {
     workload: Option<OnlineWorkload>,
 }
 
-impl<'g, P: Protocol> SimulationBuilder<'g, P> {
+impl<'g> SimulationBuilder<'g> {
     fn new(graph: &'g BipartiteGraph) -> Self {
         Self {
             graph,
@@ -560,9 +541,10 @@ impl<'g, P: Protocol> SimulationBuilder<'g, P> {
         }
     }
 
-    /// Sets the protocol (required).
-    pub fn protocol(mut self, protocol: P) -> Self {
-        self.protocol = Some(protocol);
+    /// Sets the protocol (required): a concrete protocol such as `Saer::new(8, 2)`,
+    /// or a `Box<dyn Protocol>` chosen at runtime, which is kept as is.
+    pub fn protocol(mut self, protocol: impl Into<Box<dyn Protocol>>) -> Self {
+        self.protocol = Some(protocol.into());
         self
     }
 
@@ -627,7 +609,7 @@ impl<'g, P: Protocol> SimulationBuilder<'g, P> {
     /// complete), if the demand is inconsistent with the graph (see
     /// [`Demand::materialize`]), or if the system is vacuous — zero demand and no
     /// online workload supplying arrivals.
-    pub fn build(self) -> Simulation<'g, P> {
+    pub fn build(self) -> Simulation<'g> {
         let protocol = self
             .protocol
             .expect("SimulationBuilder: a protocol is required");
@@ -705,9 +687,6 @@ impl<'g, P: Protocol> SimulationBuilder<'g, P> {
             total_balls > 0,
             "simulation has no balls: the demand is zero and no online workload supplies arrivals"
         );
-        let server_states = (0..graph.num_servers())
-            .map(|_| protocol.init_server())
-            .collect();
         let choices = protocol.choices_per_round().max(1);
         let request_capacity = checked_request_count(total_balls, choices);
         let plan = PiecePlan::for_sizes(
@@ -726,7 +705,7 @@ impl<'g, P: Protocol> SimulationBuilder<'g, P> {
             ball_owner,
             ball_assigned: vec![UNASSIGNED; total_balls],
             server_load: vec![0; graph.num_servers()],
-            server_states,
+            server_states: vec![0; graph.num_servers()],
             round: 0,
             alive_balls: (0..initial_balls as u32).collect(),
             total_messages: 0,
@@ -764,19 +743,18 @@ struct OnlineState {
     /// `settle_round - birth_round + 1`.
     settle_round: Vec<u32>,
     /// `depart_calendar[t]` holds one entry per ball departing at the start of round
-    /// `t` — the server it releases. Entries are aggregated per server and applied in
-    /// ascending server order, so their push order (piece-index order within a round)
-    /// never matters.
+    /// `t` — the server it releases. Load decrements commute, so the push order
+    /// (piece-index order within a round) never matters.
     depart_calendar: Vec<Vec<u32>>,
 }
 
 /// A protocol run on a fixed graph: owns all mutable state of the process.
 ///
-/// Constructed with [`Simulation::builder`]; works with any [`Protocol`], including the
-/// dyn-dispatched `Box<dyn ErasedProtocol>` from [`crate::erased`].
-pub struct Simulation<'g, P: Protocol> {
+/// Constructed with [`Simulation::builder`]; works with any [`Protocol`], held as a
+/// `Box<dyn Protocol>` (one virtual call per server decision and census check).
+pub struct Simulation<'g> {
     graph: &'g BipartiteGraph,
-    protocol: P,
+    protocol: Box<dyn Protocol>,
     config: SimConfig,
     factory: StreamFactory,
 
@@ -786,7 +764,8 @@ pub struct Simulation<'g, P: Protocol> {
     ball_assigned: Vec<u32>,
 
     server_load: Vec<u32>,
-    server_states: Vec<P::ServerState>,
+    /// One protocol state word per server, zeroed at build (see [`Protocol`]).
+    server_states: Vec<u64>,
 
     round: u32,
     alive_balls: Vec<u32>,
@@ -806,9 +785,9 @@ pub struct Simulation<'g, P: Protocol> {
     observers: Vec<Box<dyn AnyObserver + Send>>,
 }
 
-impl<'g, P: Protocol> Simulation<'g, P> {
+impl<'g> Simulation<'g> {
     /// Starts building a simulation on `graph`.
-    pub fn builder(graph: &'g BipartiteGraph) -> SimulationBuilder<'g, P> {
+    pub fn builder(graph: &'g BipartiteGraph) -> SimulationBuilder<'g> {
         SimulationBuilder::new(graph)
     }
 
@@ -818,8 +797,8 @@ impl<'g, P: Protocol> Simulation<'g, P> {
     }
 
     /// The protocol instance.
-    pub fn protocol(&self) -> &P {
-        &self.protocol
+    pub fn protocol(&self) -> &dyn Protocol {
+        &*self.protocol
     }
 
     /// Rounds executed so far.
@@ -876,8 +855,9 @@ impl<'g, P: Protocol> Simulation<'g, P> {
         &self.server_load
     }
 
-    /// Per-server protocol state (e.g. to inspect burned flags after a run).
-    pub fn server_states(&self) -> &[P::ServerState] {
+    /// Per-server protocol state words (e.g. SAER's received-request counts, to
+    /// inspect which servers burned after a run).
+    pub fn server_states(&self) -> &[u64] {
         &self.server_states
     }
 
@@ -960,7 +940,7 @@ impl<'g, P: Protocol> Simulation<'g, P> {
                 .server_states
                 .iter()
                 .zip(&self.server_load)
-                .filter(|(state, &load)| self.protocol.server_is_closed(state, load))
+                .filter(|(&state, &load)| self.protocol.server_is_closed(state, load))
                 .count() as u64;
             (closed, self.server_load.iter().copied().max().unwrap_or(0))
         };
@@ -985,30 +965,18 @@ impl<'g, P: Protocol> Simulation<'g, P> {
         let round = self.round;
 
         // Online round prologue — departures, then arrivals, both before any request
-        // of the round is routed. Departures aggregate to at most one
-        // `server_on_depart` call per server, applied in ascending server order (the
-        // same discipline as phase-3 releases); arrivals append to the alive list in
-        // ascending ball-id order. Both orders are pure functions of the schedule, so
-        // the prologue is trivially thread- and piece-independent.
+        // of the round is routed. Each departure frees one slot of its server's load
+        // (decrements commute, so the calendar order is irrelevant); arrivals append
+        // to the alive list in ascending ball-id order. Both are pure functions of the
+        // schedule, so the prologue is trivially thread- and piece-independent.
         let mut departures = 0u64;
         let mut arrivals = 0u64;
         if let Some(online) = self.online.as_mut() {
             if let Some(due) = online.depart_calendar.get_mut(round as usize) {
-                let mut due = std::mem::take(due);
-                due.sort_unstable();
+                let due = std::mem::take(due);
                 departures = due.len() as u64;
-                let mut i = 0;
-                while i < due.len() {
-                    let server = due[i];
-                    let mut count = 0u32;
-                    while i < due.len() && due[i] == server {
-                        count += 1;
-                        i += 1;
-                    }
-                    let s = server as usize;
-                    self.server_load[s] -= count;
-                    self.protocol
-                        .server_on_depart(&mut self.server_states[s], count);
+                for &server in &due {
+                    self.server_load[server as usize] -= 1;
                 }
                 self.in_service -= departures;
             }
@@ -1044,8 +1012,6 @@ impl<'g, P: Protocol> Simulation<'g, P> {
             alive_scratch,
             assigned_scratch,
             release_scratch,
-            release_count,
-            touched_servers,
             piece_hist,
             piece_off,
             plan,
@@ -1177,9 +1143,8 @@ impl<'g, P: Protocol> Simulation<'g, P> {
         {
             let server_pieces = plan.server;
             let incoming_all: &[u32] = requests_per_server;
-            let mut descs: [Option<DecidePiece<P::ServerState>>; MAX_INTRA_PIECES] =
-                std::array::from_fn(|_| None);
-            let mut states_rest: &mut [P::ServerState] = &mut self.server_states;
+            let mut descs: [Option<DecidePiece>; MAX_INTRA_PIECES] = std::array::from_fn(|_| None);
+            let mut states_rest: &mut [u64] = &mut self.server_states;
             let mut loads_rest: &mut [u32] = &mut self.server_load;
             let mut accept_rest: &mut [u32] = accept_count;
             let mut consumed = 0;
@@ -1201,7 +1166,7 @@ impl<'g, P: Protocol> Simulation<'g, P> {
                 });
                 consumed = hi;
             }
-            let protocol = &self.protocol;
+            let protocol = &*self.protocol;
             drive_pieces(&mut descs[..server_pieces], |p| {
                 for i in 0..p.incoming.len() {
                     let incoming = p.incoming[i];
@@ -1222,12 +1187,11 @@ impl<'g, P: Protocol> Simulation<'g, P> {
         }
 
         // Phase 3 — balls settle over carved slot ranges. With a single choice per
-        // round each ball has exactly one request; with k choices a ball keeps the
-        // first accepted destination and surplus accepts are *recorded* per piece,
-        // then aggregated into one `server_on_release` call per server, applied in
-        // ascending server order after the join. Both the single-piece and the
-        // many-piece plan use this exact aggregation, so the piece count can never
-        // change what a protocol observes.
+        // round each ball has exactly one request; with k choices a ball keeps one
+        // accepted destination (per the settle rule) and surplus accepts are
+        // *recorded* per piece, then released from their servers' loads after the
+        // join. Load decrements commute, so the piece count can never change the
+        // loads the next round observes.
         let mut balls_assigned = 0u64;
         {
             let slot_pieces = plan.slot;
@@ -1291,16 +1255,14 @@ impl<'g, P: Protocol> Simulation<'g, P> {
             }
 
             // The two remaining applications touch disjoint state (ball assignments
-            // plus online settle bookkeeping vs server loads/states), so they run as
-            // the two arms of a join.
+            // plus online settle bookkeeping vs server loads), so they run as the two
+            // arms of a join.
             let descs_done = &descs[..slot_pieces];
             let ball_assigned = &mut self.ball_assigned;
             let online = self.online.as_mut();
             let seed = self.config.seed;
             let max_rounds = self.config.max_rounds;
             let server_load = &mut self.server_load;
-            let server_states = &mut self.server_states;
-            let protocol = &self.protocol;
             rayon::join(
                 || match online {
                     None => {
@@ -1313,11 +1275,11 @@ impl<'g, P: Protocol> Simulation<'g, P> {
                     Some(online) => {
                         // Settled balls record their latency and schedule their
                         // departure. The service draw is keyed by ball id alone, and
-                        // calendar entries are re-aggregated per server when applied,
-                        // so piece order cannot leak into anything observable. A
-                        // departure falling beyond the round cap is not scheduled:
-                        // it could never be applied within the run, and skipping it
-                        // keeps the calendar bounded by `max_rounds`.
+                        // departures only decrement loads, so piece order cannot leak
+                        // into anything observable. A departure falling beyond the
+                        // round cap is not scheduled: it could never be applied
+                        // within the run, and skipping it keeps the calendar bounded
+                        // by `max_rounds`.
                         for p in descs_done.iter().flatten() {
                             for &packed in &p.assigned_out[..p.counts.assigned as usize] {
                                 let ball = (packed >> 32) as usize;
@@ -1338,27 +1300,12 @@ impl<'g, P: Protocol> Simulation<'g, P> {
                     }
                 },
                 || {
-                    // Aggregate surplus releases per server (piece-index order in,
-                    // ascending server order out), then apply each server's total
-                    // with a single `server_on_release` call. `release_count` is
-                    // all-zero on entry and reset to all-zero on the way out.
+                    // Each surplus accept frees the slot its server reserved in phase 2.
                     for p in descs_done.iter().flatten() {
                         for &server in &p.release_out[..p.counts.released as usize] {
-                            if release_count[server as usize] == 0 {
-                                touched_servers.push(server);
-                            }
-                            release_count[server as usize] += 1;
+                            server_load[server as usize] -= 1;
                         }
                     }
-                    touched_servers.sort_unstable();
-                    for &server in touched_servers.iter() {
-                        let s = server as usize;
-                        let total = release_count[s];
-                        release_count[s] = 0;
-                        server_load[s] -= total;
-                        protocol.server_on_release(&mut server_states[s], total);
-                    }
-                    touched_servers.clear();
                 },
             );
         }
@@ -1370,10 +1317,9 @@ impl<'g, P: Protocol> Simulation<'g, P> {
         // `result()` never re-scans the servers.
         let (closed_servers, max_load) = {
             let census_pieces = plan.server;
-            let states_all: &[P::ServerState] = &self.server_states;
+            let states_all: &[u64] = &self.server_states;
             let loads_all: &[u32] = &self.server_load;
-            let mut descs: [Option<CensusPiece<P::ServerState>>; MAX_INTRA_PIECES] =
-                std::array::from_fn(|_| None);
+            let mut descs: [Option<CensusPiece>; MAX_INTRA_PIECES] = std::array::from_fn(|_| None);
             let mut closed_rest: &mut [bool] = closed;
             let mut consumed = 0;
             for (k, slot) in descs[..census_pieces].iter_mut().enumerate() {
@@ -1390,11 +1336,11 @@ impl<'g, P: Protocol> Simulation<'g, P> {
                 });
                 consumed = hi;
             }
-            let protocol = &self.protocol;
+            let protocol = &*self.protocol;
             drive_pieces(&mut descs[..census_pieces], |p| {
                 let mut count = 0u64;
                 let mut max = 0u32;
-                for ((flag, state), &load) in
+                for ((flag, &state), &load) in
                     p.closed.iter_mut().zip(p.states.iter()).zip(p.loads.iter())
                 {
                     let is_closed = protocol.server_is_closed(state, load);
@@ -1440,12 +1386,10 @@ mod tests {
     /// Servers accept everything: classic one-choice.
     struct AcceptAll;
     impl Protocol for AcceptAll {
-        type ServerState = ();
-        fn init_server(&self) {}
-        fn server_decide(&self, _state: &mut (), ctx: &ServerCtx) -> u32 {
+        fn server_decide(&self, _state: &mut u64, ctx: &ServerCtx) -> u32 {
             ctx.incoming
         }
-        fn server_is_closed(&self, _state: &(), _load: u32) -> bool {
+        fn server_is_closed(&self, _state: u64, _load: u32) -> bool {
             false
         }
     }
@@ -1453,16 +1397,14 @@ mod tests {
     /// Servers reject everything before `open_round`, then accept everything.
     struct OpensAt(u32);
     impl Protocol for OpensAt {
-        type ServerState = ();
-        fn init_server(&self) {}
-        fn server_decide(&self, _state: &mut (), ctx: &ServerCtx) -> u32 {
+        fn server_decide(&self, _state: &mut u64, ctx: &ServerCtx) -> u32 {
             if ctx.round >= self.0 {
                 ctx.incoming
             } else {
                 0
             }
         }
-        fn server_is_closed(&self, _state: &(), _load: u32) -> bool {
+        fn server_is_closed(&self, _state: u64, _load: u32) -> bool {
             false
         }
     }
@@ -1470,23 +1412,14 @@ mod tests {
     /// Capacity-1 servers contacted with two choices per ball: exercises the release path.
     struct TwoChoiceCapacityOne;
     impl Protocol for TwoChoiceCapacityOne {
-        type ServerState = u32; // accepted so far (net of releases)
-        fn init_server(&self) -> u32 {
-            0
-        }
         fn choices_per_round(&self) -> u32 {
             2
         }
-        fn server_decide(&self, state: &mut u32, ctx: &ServerCtx) -> u32 {
-            let take = 1u32.saturating_sub(*state).min(ctx.incoming);
-            *state += take;
-            take
+        fn server_decide(&self, _state: &mut u64, ctx: &ServerCtx) -> u32 {
+            1u32.saturating_sub(ctx.current_load).min(ctx.incoming)
         }
-        fn server_is_closed(&self, state: &u32, _load: u32) -> bool {
-            *state >= 1
-        }
-        fn server_on_release(&self, state: &mut u32, count: u32) {
-            *state -= count;
+        fn server_is_closed(&self, _state: u64, load: u32) -> bool {
+            load >= 1
         }
     }
 
@@ -1611,10 +1544,8 @@ mod tests {
         assert_eq!(result.closed_servers, 8);
         let total_load: u32 = sim.server_loads().iter().sum();
         assert_eq!(total_load, 8);
-        // Protocol state (net accepted) must agree with the engine's load accounting.
-        for (state, load) in sim.server_states().iter().zip(sim.server_loads()) {
-            assert_eq!(state, load);
-        }
+        // The protocol keeps no state of its own, so every state word stays zero.
+        assert!(sim.server_states().iter().all(|&state| state == 0));
     }
 
     // Since PR 3 the vendored rayon stub is a real work-distributing thread pool, so
@@ -1733,9 +1664,9 @@ mod tests {
 
     /// Runs step-by-step under a forced piece plan (or the size-derived default for
     /// `None`) and returns everything a caller could observe.
-    fn run_with_pieces<P: Protocol>(
+    fn run_with_pieces(
         g: &clb_graph::BipartiteGraph,
-        protocol: P,
+        protocol: impl Into<Box<dyn Protocol>>,
         pieces: Option<usize>,
     ) -> (Vec<RoundRecord>, RunResult, Vec<u32>) {
         let mut builder = Simulation::builder(g)
@@ -1758,7 +1689,7 @@ mod tests {
     fn intra_step_pieces_do_not_change_results() {
         let g = generators::regular_random(96, 12, 33).unwrap();
         let piece_grid = [Some(2), Some(5), Some(32), None];
-        // One-choice (no releases) and two-choice (release aggregation) protocols.
+        // One-choice (no releases) and two-choice (surplus releases) protocols.
         let baseline = run_with_pieces(&g, OpensAt(3), Some(1));
         for pieces in piece_grid {
             assert_eq!(
@@ -1807,9 +1738,7 @@ mod tests {
     #[should_panic(expected = "protocol is required")]
     fn builder_requires_a_protocol() {
         let g = generators::regular_random(4, 2, 5).unwrap();
-        let _ = Simulation::<AcceptAll>::builder(&g)
-            .demand(Demand::Constant(1))
-            .build();
+        let _ = Simulation::builder(&g).demand(Demand::Constant(1)).build();
     }
 
     #[test]
@@ -1846,15 +1775,13 @@ mod tests {
     /// overflow guard without allocating anything first.
     struct ManyChoices(u32);
     impl Protocol for ManyChoices {
-        type ServerState = ();
-        fn init_server(&self) {}
         fn choices_per_round(&self) -> u32 {
             self.0
         }
-        fn server_decide(&self, _state: &mut (), ctx: &ServerCtx) -> u32 {
+        fn server_decide(&self, _state: &mut u64, ctx: &ServerCtx) -> u32 {
             ctx.incoming
         }
-        fn server_is_closed(&self, _state: &(), _load: u32) -> bool {
+        fn server_is_closed(&self, _state: u64, _load: u32) -> bool {
             false
         }
     }
@@ -1980,16 +1907,14 @@ mod tests {
     }
 
     /// One slot per server, freed again when the occupant departs: the shape of an
-    /// online queueing server (contrast with `TwoChoiceCapacityOne`, whose private
-    /// counter never forgets — that is the SAER-style churn-incompatible shape).
+    /// online queueing server (contrast with SAER, whose received-request counter
+    /// never forgets — the churn-incompatible shape).
     struct LoadCapOne;
     impl Protocol for LoadCapOne {
-        type ServerState = ();
-        fn init_server(&self) {}
-        fn server_decide(&self, _state: &mut (), ctx: &ServerCtx) -> u32 {
+        fn server_decide(&self, _state: &mut u64, ctx: &ServerCtx) -> u32 {
             1u32.saturating_sub(ctx.current_load).min(ctx.incoming)
         }
-        fn server_is_closed(&self, _state: &(), load: u32) -> bool {
+        fn server_is_closed(&self, _state: u64, load: u32) -> bool {
             load >= 1
         }
     }

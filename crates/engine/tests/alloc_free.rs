@@ -1,5 +1,7 @@
 //! Pins the zero-allocation round loop: after the simulation is built, `step()` must
-//! never touch the global allocator.
+//! never touch the global allocator. Building itself makes a number of allocations
+//! that does not grow with the server count: per-server protocol state is one dense
+//! `Vec<u64>`, not one allocation per server.
 //!
 //! The harness installs a **thread-aware** counting `#[global_allocator]` (this
 //! integration test is its own binary, so the counter sees nothing but this file's
@@ -16,7 +18,7 @@
 //!    one thread, exactly the pre-pool behaviour),
 //! 2. the same single-thread scope with the intra-round piece plan forced to 8, so
 //!    the parallel sort / decide / settle / census code paths (carved descriptors,
-//!    piece merges, release aggregation) run through the counted window, and
+//!    piece merges, surplus releases) run through the counted window, and
 //! 3. `step()` running *on pool workers* — how `Scenario::run` executes trials.
 //!    Since the pool's work-stealing rewrite, nested drives **fan out** from workers
 //!    instead of running sequentially, and fanning out dispatches real jobs: piece
@@ -31,6 +33,7 @@ use std::cell::Cell;
 
 use clb_engine::{Demand, Protocol, ServerCtx, Simulation};
 use clb_graph::generators;
+use clb_protocols::ProtocolSpec;
 use rayon::prelude::*;
 
 struct CountingAllocator;
@@ -90,16 +93,14 @@ fn counted<R>(f: impl FnOnce() -> R) -> (u64, R) {
 /// the counted window exercises full-size request batches every round.
 struct OpensAt(u32);
 impl Protocol for OpensAt {
-    type ServerState = ();
-    fn init_server(&self) {}
-    fn server_decide(&self, _state: &mut (), ctx: &ServerCtx) -> u32 {
+    fn server_decide(&self, _state: &mut u64, ctx: &ServerCtx) -> u32 {
         if ctx.round >= self.0 {
             ctx.incoming
         } else {
             0
         }
     }
-    fn server_is_closed(&self, _state: &(), _load: u32) -> bool {
+    fn server_is_closed(&self, _state: u64, _load: u32) -> bool {
         false
     }
 }
@@ -108,24 +109,44 @@ impl Protocol for OpensAt {
 /// k-choice phase-3 logic through the counted window.
 struct TwoChoiceCapacityOne;
 impl Protocol for TwoChoiceCapacityOne {
-    type ServerState = u32;
-    fn init_server(&self) -> u32 {
-        0
-    }
     fn choices_per_round(&self) -> u32 {
         2
     }
-    fn server_decide(&self, state: &mut u32, ctx: &ServerCtx) -> u32 {
-        let take = 1u32.saturating_sub(*state).min(ctx.incoming);
-        *state += take;
-        take
+    fn server_decide(&self, _state: &mut u64, ctx: &ServerCtx) -> u32 {
+        1u32.saturating_sub(ctx.current_load).min(ctx.incoming)
     }
-    fn server_is_closed(&self, state: &u32, _load: u32) -> bool {
-        *state >= 1
+    fn server_is_closed(&self, _state: u64, load: u32) -> bool {
+        load >= 1
     }
-    fn server_on_release(&self, state: &mut u32, count: u32) {
-        *state -= count;
-    }
+}
+
+#[test]
+fn build_allocations_do_not_grow_with_the_server_count() {
+    // A runtime-chosen SAER is the production path: the spec's boxed protocol goes
+    // into the simulation as is, and its per-server state is the engine's dense
+    // state vector, so `build()` allocates the same number of times at any size.
+    let sequential = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap();
+    let counts: Vec<u64> = [256usize, 1024, 4096]
+        .into_iter()
+        .map(|servers| {
+            let graph = generators::regular_random(servers, 8, 5).unwrap();
+            assert_eq!(graph.num_servers(), servers);
+            let builder = Simulation::builder(&graph)
+                .protocol(ProtocolSpec::Saer { c: 4, d: 2 }.build())
+                .demand(Demand::Constant(2))
+                .seed(3);
+            let (allocations, sim) = sequential.install(|| counted(|| builder.build()));
+            assert_eq!(sim.server_states().len(), servers);
+            allocations
+        })
+        .collect();
+    assert!(
+        counts.windows(2).all(|pair| pair[0] == pair[1]),
+        "build() allocations grew with the server count: {counts:?} at 256/1024/4096 servers"
+    );
 }
 
 #[test]
@@ -192,7 +213,7 @@ fn round_loop_is_allocation_free_after_build() {
 fn round_loop_is_allocation_free_with_forced_intra_pieces() {
     // Forcing the piece plan to 8 on instances this small routes every phase through
     // the carved-descriptor parallel path (three-pass sort, per-piece settle scratch,
-    // release aggregation) — the descriptors live on the stack and all scratch is in
+    // surplus releases) — the descriptors live on the stack and all scratch is in
     // RoundBuffers, so the counted window must stay at exactly zero.
     let sequential = rayon::ThreadPoolBuilder::new()
         .num_threads(1)

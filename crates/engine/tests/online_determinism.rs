@@ -13,41 +13,30 @@
 //! exp_online stdout diffs.
 
 use clb_engine::{
-    erase, ArrivalProcess, Demand, ErasedProtocol, OnlineWorkload, Protocol, RoundRecord,
-    RunResult, ServerCtx, ServiceDistribution, SettleRule, Simulation,
+    ArrivalProcess, Demand, OnlineWorkload, Protocol, RoundRecord, RunResult, ServerCtx,
+    ServiceDistribution, SettleRule, Simulation,
 };
 use clb_faults::FaultPlan;
 use clb_graph::BipartiteGraph;
 use proptest::prelude::*;
 
 /// Capacity-`cap` servers with `choices` picks per ball and the historical
-/// first-accepted settle rule; releases keep the accepted census exact.
+/// first-accepted settle rule; releases and departures free capacity through the
+/// engine's load.
 struct CapacityK {
     choices: u32,
     cap: u32,
 }
 
 impl Protocol for CapacityK {
-    type ServerState = u32; // accepted so far (net of releases and departures)
-    fn init_server(&self) -> u32 {
-        0
-    }
     fn choices_per_round(&self) -> u32 {
         self.choices
     }
-    fn server_decide(&self, state: &mut u32, ctx: &ServerCtx) -> u32 {
-        let take = self.cap.saturating_sub(*state).min(ctx.incoming);
-        *state += take;
-        take
+    fn server_decide(&self, _state: &mut u64, ctx: &ServerCtx) -> u32 {
+        self.cap.saturating_sub(ctx.current_load).min(ctx.incoming)
     }
-    fn server_is_closed(&self, state: &u32, _load: u32) -> bool {
-        *state >= self.cap
-    }
-    fn server_on_release(&self, state: &mut u32, count: u32) {
-        *state -= count;
-    }
-    fn server_on_depart(&self, state: &mut u32, count: u32) {
-        *state -= count;
+    fn server_is_closed(&self, _state: u64, load: u32) -> bool {
+        load >= self.cap
     }
 }
 
@@ -58,15 +47,13 @@ struct LeastLoadedK {
 }
 
 impl Protocol for LeastLoadedK {
-    type ServerState = ();
-    fn init_server(&self) {}
     fn choices_per_round(&self) -> u32 {
         self.choices
     }
-    fn server_decide(&self, _state: &mut (), ctx: &ServerCtx) -> u32 {
+    fn server_decide(&self, _state: &mut u64, ctx: &ServerCtx) -> u32 {
         ctx.incoming
     }
-    fn server_is_closed(&self, _state: &(), _load: u32) -> bool {
+    fn server_is_closed(&self, _state: u64, _load: u32) -> bool {
         false
     }
     fn settle_rule(&self) -> SettleRule {
@@ -155,10 +142,10 @@ fn run_case(
         .build()
         .unwrap();
     pool.install(|| {
-        let inner: Box<dyn ErasedProtocol> = if least_loaded {
-            erase(LeastLoadedK { choices: 2 })
+        let inner: Box<dyn Protocol> = if least_loaded {
+            Box::new(LeastLoadedK { choices: 2 })
         } else {
-            erase(CapacityK { choices: 2, cap: 3 })
+            Box::new(CapacityK { choices: 2, cap: 3 })
         };
         let protocol = if faulted {
             composite_plan().wrap(inner, seed)

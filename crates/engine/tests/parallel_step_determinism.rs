@@ -11,38 +11,27 @@
 //! in `src/simulation.rs` (`parallel_rank_sort_matches_serial_permutation`); this file
 //! pins the end-to-end observable behaviour.
 
-use clb_engine::{
-    erase, Demand, ErasedProtocol, Protocol, RoundRecord, RunResult, ServerCtx, Simulation,
-};
+use clb_engine::{Demand, Protocol, RoundRecord, RunResult, ServerCtx, Simulation};
 use clb_faults::FaultPlan;
 use clb_graph::BipartiteGraph;
 use proptest::prelude::*;
 
 /// Capacity-`cap` servers contacted with `choices` picks per ball: exercises the
-/// k-choice settle and batched-release paths at every generated choice count.
+/// k-choice settle and surplus-release paths at every generated choice count.
 struct CapacityK {
     choices: u32,
     cap: u32,
 }
 
 impl Protocol for CapacityK {
-    type ServerState = u32; // accepted so far (net of releases)
-    fn init_server(&self) -> u32 {
-        0
-    }
     fn choices_per_round(&self) -> u32 {
         self.choices
     }
-    fn server_decide(&self, state: &mut u32, ctx: &ServerCtx) -> u32 {
-        let take = self.cap.saturating_sub(*state).min(ctx.incoming);
-        *state += take;
-        take
+    fn server_decide(&self, _state: &mut u64, ctx: &ServerCtx) -> u32 {
+        self.cap.saturating_sub(ctx.current_load).min(ctx.incoming)
     }
-    fn server_is_closed(&self, state: &u32, _load: u32) -> bool {
-        *state >= self.cap
-    }
-    fn server_on_release(&self, state: &mut u32, count: u32) {
-        *state -= count;
+    fn server_is_closed(&self, _state: u64, load: u32) -> bool {
+        load >= self.cap
     }
 }
 
@@ -98,7 +87,7 @@ fn run_case(
         .build()
         .unwrap();
     pool.install(|| {
-        let inner: Box<dyn ErasedProtocol> = erase(CapacityK { choices, cap });
+        let inner: Box<dyn Protocol> = Box::new(CapacityK { choices, cap });
         let protocol = if faulted {
             composite_plan().wrap(inner, seed)
         } else {

@@ -2,7 +2,7 @@
 //!
 //! Every node in the base reproduction is honest and immortal. This crate asks the
 //! follow-up question the paper's guarantees invite — *which of them survive which
-//! misbehaviors?* — by wrapping any [`ErasedProtocol`] in a [`FaultAdapter`] that
+//! misbehaviors?* — by wrapping any [`Protocol`] in a [`FaultAdapter`] that
 //! perturbs what the server-side decision rule sees and returns, **without touching the
 //! engine**. The fault menu follows the failure modes studied in the related work
 //! (servers departing as in bounded-load consistent hashing, degraded load information
@@ -48,7 +48,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use clb_engine::{erase, ErasedProtocol, ErasedServerState, Protocol, ServerCtx};
+use clb_engine::{Protocol, ServerCtx, SettleRule};
 use clb_rng::{Binomial, RandomSource, StreamFactory};
 use serde::{Deserialize, Serialize};
 
@@ -179,8 +179,8 @@ impl StragglerFault {
 ///
 /// Every kind is optional; [`FaultPlan::none`] is the empty plan, and wrapping a
 /// protocol with the empty plan is bit-identical to not wrapping it at all (the
-/// adapter's fault paths are all conditional on plan entries, pinned by the erased
-/// equivalence suite). Plans are `Copy` and travel inside `ExperimentConfig` across
+/// adapter's fault paths are all conditional on plan entries, pinned by the fault
+/// determinism suite). Plans are `Copy` and travel inside `ExperimentConfig` across
 /// the shard wire format, so a faulted sweep shards exactly like a fault-free one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
@@ -305,14 +305,13 @@ impl FaultPlan {
     }
 
     /// Compiles the plan into a [`FaultAdapter`] around `inner` for the trial with the
-    /// given seed, returning it re-erased so it slots in wherever a
-    /// `Box<dyn ErasedProtocol>` does.
+    /// given seed, boxed so it slots in wherever a `Box<dyn Protocol>` does.
     ///
     /// The adapter is constructed even for the empty plan — its pass-through is
     /// bit-identical to the unwrapped protocol, and always wrapping keeps that identity
     /// continuously under test.
-    pub fn wrap(&self, inner: Box<dyn ErasedProtocol>, seed: u64) -> Box<dyn ErasedProtocol> {
-        erase(FaultAdapter::new(inner, *self, seed))
+    pub fn wrap(&self, inner: Box<dyn Protocol>, seed: u64) -> Box<dyn Protocol> {
+        Box::new(FaultAdapter::new(inner, *self, seed))
     }
 
     /// How many of `num_servers` servers survive (did not crash) a run of `rounds_run`
@@ -334,17 +333,18 @@ impl FaultPlan {
     }
 }
 
-/// A [`Protocol`] that injects the faults of a [`FaultPlan`] around an inner erased
-/// protocol. Built by [`FaultPlan::wrap`]; runs through the engine unchanged.
+/// A [`Protocol`] that injects the faults of a [`FaultPlan`] around an inner protocol.
+/// Built by [`FaultPlan::wrap`]; runs through the engine unchanged.
 ///
 /// Per decision, the fault pipeline is (in order): crash-stop → straggler skip →
 /// request loss (binomial thinning of `incoming`) → load lie (distorted
 /// `current_load`) → inner decision (clamped to the thinned batch) → acceptance loss
 /// (binomial thinning of the accepted count). If request loss empties the batch the
 /// inner rule is not consulted at all, mirroring the engine's own "decide only when
-/// `incoming > 0`" contract.
+/// `incoming > 0`" contract — and the inner rule's state word is only touched when it
+/// is consulted.
 pub struct FaultAdapter {
-    inner: Box<dyn ErasedProtocol>,
+    inner: Box<dyn Protocol>,
     plan: FaultPlan,
     faults: StreamFactory,
 }
@@ -356,7 +356,7 @@ impl FaultAdapter {
     /// # Panics
     /// If the plan fails [`FaultPlan::validate`] (unreachable for plans built through
     /// the fluent constructors, which validate eagerly).
-    pub fn new(inner: Box<dyn ErasedProtocol>, plan: FaultPlan, seed: u64) -> Self {
+    pub fn new(inner: Box<dyn Protocol>, plan: FaultPlan, seed: u64) -> Self {
         if let Err(reason) = plan.validate() {
             panic!("invalid FaultPlan: {reason}");
         }
@@ -369,17 +369,11 @@ impl FaultAdapter {
 }
 
 impl Protocol for FaultAdapter {
-    type ServerState = ErasedServerState;
-
-    fn init_server(&self) -> ErasedServerState {
-        self.inner.erased_init_server()
-    }
-
     fn choices_per_round(&self) -> u32 {
-        self.inner.erased_choices_per_round()
+        self.inner.choices_per_round()
     }
 
-    fn server_decide(&self, state: &mut ErasedServerState, ctx: &ServerCtx) -> u32 {
+    fn server_decide(&self, state: &mut u64, ctx: &ServerCtx) -> u32 {
         let server = ctx.server as u64;
         if let Some(crash) = &self.plan.crash {
             if crash.applies(&self.faults, server, ctx.round) {
@@ -416,10 +410,7 @@ impl Protocol for FaultAdapter {
             current_load,
             incoming,
         };
-        let mut accepted = self
-            .inner
-            .erased_server_decide(state, &inner_ctx)
-            .min(incoming);
+        let mut accepted = self.inner.server_decide(state, &inner_ctx).min(incoming);
         if let Some(loss) = &self.plan.message_loss {
             if loss.accept_p > 0.0 && accepted > 0 {
                 let mut stream = self.faults.stream3(server, ACC_LOSS, ctx.round as u64);
@@ -430,26 +421,16 @@ impl Protocol for FaultAdapter {
         accepted
     }
 
-    fn server_is_closed(&self, state: &ErasedServerState, current_load: u32) -> bool {
-        self.inner.erased_server_is_closed(state, current_load)
+    fn server_is_closed(&self, state: u64, current_load: u32) -> bool {
+        self.inner.server_is_closed(state, current_load)
     }
 
-    fn server_on_release(&self, state: &mut ErasedServerState, count: u32) {
-        self.inner.erased_server_on_release(state, count);
-    }
-
-    fn settle_rule(&self) -> clb_engine::SettleRule {
-        self.inner.erased_settle_rule()
-    }
-
-    fn server_on_depart(&self, state: &mut ErasedServerState, count: u32) {
-        // Departures are ground truth (the ball really left), not a message a fault
-        // could drop, so the adapter forwards them untouched.
-        self.inner.erased_server_on_depart(state, count);
+    fn settle_rule(&self) -> SettleRule {
+        self.inner.settle_rule()
     }
 
     fn name(&self) -> String {
-        format!("{}+faults[{}]", self.inner.erased_name(), self.plan.label())
+        format!("{}+faults[{}]", self.inner.name(), self.plan.label())
     }
 }
 
@@ -464,7 +445,7 @@ mod tests {
         generators::regular_random(64, log2_squared(64), 9).unwrap()
     }
 
-    fn run(graph: &BipartiteGraph, protocol: Box<dyn ErasedProtocol>, seed: u64) -> RunResult {
+    fn run(graph: &BipartiteGraph, protocol: Box<dyn Protocol>, seed: u64) -> RunResult {
         Simulation::builder(graph)
             .protocol(protocol)
             .demand(Demand::Constant(2))

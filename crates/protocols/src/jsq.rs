@@ -35,19 +35,15 @@ impl Jsq {
 }
 
 impl Protocol for Jsq {
-    type ServerState = ();
-
-    fn init_server(&self) {}
-
     fn choices_per_round(&self) -> u32 {
         self.d
     }
 
-    fn server_decide(&self, _state: &mut (), ctx: &ServerCtx) -> u32 {
+    fn server_decide(&self, _state: &mut u64, ctx: &ServerCtx) -> u32 {
         ctx.incoming
     }
 
-    fn server_is_closed(&self, _state: &(), _current_load: u32) -> bool {
+    fn server_is_closed(&self, _state: u64, _current_load: u32) -> bool {
         false
     }
 
@@ -76,8 +72,8 @@ mod tests {
             current_load: 1_000_000,
             incoming: 7,
         };
-        assert_eq!(p.server_decide(&mut (), &ctx), 7);
-        assert!(!p.server_is_closed(&(), u32::MAX));
+        assert_eq!(p.server_decide(&mut 0, &ctx), 7);
+        assert!(!p.server_is_closed(0, u32::MAX));
         assert_eq!(p.settle_rule(), SettleRule::LeastLoaded);
         assert_eq!(p.name(), "jsq(d=2)");
     }
@@ -120,7 +116,7 @@ mod tests {
         // aggregate, strictly better overall.
         let n = 512;
         let graph = generators::complete(n, n).unwrap();
-        let run = |protocol: Box<dyn clb_engine::ErasedProtocol>, seed: u64| {
+        let run = |protocol: Box<dyn Protocol>, seed: u64| {
             Simulation::builder(&graph)
                 .protocol(protocol)
                 .demand(Demand::Constant(1))
@@ -131,8 +127,8 @@ mod tests {
         let mut jsq_total = 0u32;
         let mut one_shot_total = 0u32;
         for seed in [23, 24, 25, 26, 27] {
-            jsq_total += run(clb_engine::erase(Jsq::new(2)), seed).max_load;
-            one_shot_total += run(clb_engine::erase(crate::OneShot::new()), seed).max_load;
+            jsq_total += run(Box::new(Jsq::new(2)), seed).max_load;
+            one_shot_total += run(Box::new(crate::OneShot::new()), seed).max_load;
         }
         assert!(
             jsq_total < one_shot_total,

@@ -40,21 +40,17 @@ impl KChoice {
 }
 
 impl Protocol for KChoice {
-    type ServerState = ();
-
-    fn init_server(&self) {}
-
     fn choices_per_round(&self) -> u32 {
         self.k
     }
 
-    fn server_decide(&self, _state: &mut (), ctx: &ServerCtx) -> u32 {
+    fn server_decide(&self, _state: &mut u64, ctx: &ServerCtx) -> u32 {
         self.capacity
             .saturating_sub(ctx.current_load)
             .min(ctx.incoming)
     }
 
-    fn server_is_closed(&self, _state: &(), current_load: u32) -> bool {
+    fn server_is_closed(&self, _state: u64, current_load: u32) -> bool {
         current_load >= self.capacity
     }
 
@@ -82,11 +78,11 @@ mod tests {
     fn accepts_up_to_remaining_capacity() {
         let p = KChoice::new(2, 5);
         assert_eq!(p.choices_per_round(), 2);
-        assert_eq!(p.server_decide(&mut (), &ctx(0, 3)), 3);
-        assert_eq!(p.server_decide(&mut (), &ctx(4, 3)), 1);
-        assert_eq!(p.server_decide(&mut (), &ctx(5, 3)), 0);
-        assert!(p.server_is_closed(&(), 5));
-        assert!(!p.server_is_closed(&(), 4));
+        assert_eq!(p.server_decide(&mut 0, &ctx(0, 3)), 3);
+        assert_eq!(p.server_decide(&mut 0, &ctx(4, 3)), 1);
+        assert_eq!(p.server_decide(&mut 0, &ctx(5, 3)), 0);
+        assert!(p.server_is_closed(0, 5));
+        assert!(!p.server_is_closed(0, 4));
         assert_eq!(p.name(), "kchoice(k=2, cap=5)");
     }
 

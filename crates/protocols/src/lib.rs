@@ -19,9 +19,12 @@
 //!   the engine's least-loaded settle rule. The stability yardstick for online
 //!   (arrival/departure) workloads, where SAER's burn-forever rule cannot recover.
 //! * [`ProtocolSpec`] — a serde-configurable description of any of the above;
-//!   [`ProtocolSpec::build`] materialises it as a `Box<dyn ErasedProtocol>`
-//!   (the object-safe layer of `clb-engine`), which drops into the simulation builder
-//!   exactly like a concrete protocol.
+//!   [`ProtocolSpec::build`] materialises it as a `Box<dyn Protocol>`, which drops
+//!   into the simulation builder exactly like a concrete protocol.
+//!
+//! Every rule implements the one object-safe [`clb_engine::Protocol`] trait. The only
+//! per-server memory any of them keeps is SAER's received-request count, held in the
+//! engine-owned `u64` state word; the others decide from the current load alone.
 //!
 //! # Quick start
 //!
@@ -79,7 +82,7 @@ pub mod threshold;
 pub use jsq::Jsq;
 pub use kchoice::KChoice;
 pub use one_shot::OneShot;
-pub use raes::{Raes, RaesServerState};
-pub use saer::{Saer, SaerServerState};
+pub use raes::Raes;
+pub use saer::Saer;
 pub use spec::ProtocolSpec;
 pub use threshold::Threshold;

@@ -20,15 +20,11 @@ impl OneShot {
 }
 
 impl Protocol for OneShot {
-    type ServerState = ();
-
-    fn init_server(&self) {}
-
-    fn server_decide(&self, _state: &mut (), ctx: &ServerCtx) -> u32 {
+    fn server_decide(&self, _state: &mut u64, ctx: &ServerCtx) -> u32 {
         ctx.incoming
     }
 
-    fn server_is_closed(&self, _state: &(), _current_load: u32) -> bool {
+    fn server_is_closed(&self, _state: u64, _current_load: u32) -> bool {
         false
     }
 

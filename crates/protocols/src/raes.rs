@@ -44,34 +44,18 @@ impl Raes {
     }
 }
 
-/// Per-server bookkeeping of RAES (statistics only; the acceptance rule needs nothing
-/// beyond the engine-provided current load).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RaesServerState {
-    /// Number of rounds in which this server rejected a batch (was saturated).
-    pub saturated_rounds: u32,
-    /// Balls received since the start of the process.
-    pub received_total: u64,
-}
-
+/// The acceptance rule needs nothing beyond the engine-provided current load, so RAES
+/// ignores its state word.
 impl Protocol for Raes {
-    type ServerState = RaesServerState;
-
-    fn init_server(&self) -> RaesServerState {
-        RaesServerState::default()
-    }
-
-    fn server_decide(&self, state: &mut RaesServerState, ctx: &ServerCtx) -> u32 {
-        state.received_total += ctx.incoming as u64;
+    fn server_decide(&self, _state: &mut u64, ctx: &ServerCtx) -> u32 {
         if ctx.current_load + ctx.incoming > self.threshold() {
-            state.saturated_rounds += 1;
             0
         } else {
             ctx.incoming
         }
     }
 
-    fn server_is_closed(&self, _state: &RaesServerState, current_load: u32) -> bool {
+    fn server_is_closed(&self, _state: u64, current_load: u32) -> bool {
         // A server with load c·d cannot accept anything ever again, which is the notion
         // of "saturated forever" the S_t observer needs.
         current_load >= self.threshold()
@@ -101,17 +85,15 @@ mod tests {
     #[test]
     fn accepts_while_space_is_left() {
         let p = Raes::new(2, 2); // capacity 4
-        let mut s = p.init_server();
+        let mut s = 0;
         assert_eq!(p.server_decide(&mut s, &ctx(1, 0, 3)), 3);
-        assert_eq!(s.saturated_rounds, 0);
         // Load 3 + 2 incoming would exceed 4: saturated this round.
         assert_eq!(p.server_decide(&mut s, &ctx(2, 3, 2)), 0);
-        assert_eq!(s.saturated_rounds, 1);
         // But unlike SAER it can accept again when the batch fits.
         assert_eq!(p.server_decide(&mut s, &ctx(3, 3, 1)), 1);
-        assert_eq!(s.received_total, 6);
-        assert!(p.server_is_closed(&s, 4));
-        assert!(!p.server_is_closed(&s, 3));
+        assert_eq!(s, 0, "RAES keeps no state of its own");
+        assert!(p.server_is_closed(s, 4));
+        assert!(!p.server_is_closed(s, 3));
     }
 
     #[test]
@@ -167,11 +149,12 @@ mod tests {
             .config(cfg)
             .build();
         let saer_result = saer_sim.run();
+        let saer = saer_sim.protocol();
         let burned_empty = saer_sim
             .server_states()
             .iter()
             .zip(saer_sim.server_loads())
-            .filter(|(state, &load)| state.burned && load == 0)
+            .filter(|&(&state, &load)| saer.server_is_closed(state, load) && load == 0)
             .count();
         assert!(
             burned_empty > 0,

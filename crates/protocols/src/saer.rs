@@ -10,6 +10,11 @@
 //!   burned;
 //! * otherwise the server accepts the whole batch.
 //!
+//! The server's only memory is its cumulative received-request count, kept in the
+//! engine-owned state word. The count never decreases, so "burned" is exactly
+//! "count `> c·d`": the first decision that pushes the count past the threshold is
+//! the one that burns the server.
+//!
 //! Because a server only ever accepts while its cumulative received count is at most
 //! `c·d`, the final load of every server is at most `c·d` — the protocol's hard maximum
 //! load guarantee. Theorem 1 shows that on almost-regular graphs with
@@ -50,39 +55,20 @@ impl Saer {
     }
 }
 
-/// Per-server state of SAER.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SaerServerState {
-    /// Balls received since the start of the process (accepted or not).
-    pub received_total: u64,
-    /// Whether the server is burned.
-    pub burned: bool,
-    /// Round in which the server became burned (0 if it never did).
-    pub burned_at_round: u32,
-}
-
 impl Protocol for Saer {
-    type ServerState = SaerServerState;
-
-    fn init_server(&self) -> SaerServerState {
-        SaerServerState::default()
+    /// `received` counts the balls this server has received since the start of the
+    /// process, accepted or not.
+    fn server_decide(&self, received: &mut u64, ctx: &ServerCtx) -> u32 {
+        *received += u64::from(ctx.incoming);
+        if *received > self.threshold() {
+            0
+        } else {
+            ctx.incoming
+        }
     }
 
-    fn server_decide(&self, state: &mut SaerServerState, ctx: &ServerCtx) -> u32 {
-        state.received_total += ctx.incoming as u64;
-        if state.burned {
-            return 0;
-        }
-        if state.received_total > self.threshold() {
-            state.burned = true;
-            state.burned_at_round = ctx.round;
-            return 0;
-        }
-        ctx.incoming
-    }
-
-    fn server_is_closed(&self, state: &SaerServerState, _current_load: u32) -> bool {
-        state.burned
+    fn server_is_closed(&self, received: u64, _current_load: u32) -> bool {
+        received > self.threshold()
     }
 
     fn name(&self) -> String {
@@ -129,29 +115,28 @@ mod tests {
     #[test]
     fn accepts_until_cumulative_threshold() {
         let p = Saer::new(2, 3); // threshold 6
-        let mut s = p.init_server();
+        let mut s = 0;
         // Round 1: 4 balls, cumulative 4 <= 6 -> accept all.
         assert_eq!(p.server_decide(&mut s, &ctx(1, 0, 4)), 4);
-        assert!(!s.burned);
+        assert!(!p.server_is_closed(s, 4));
         // Round 2: 3 more, cumulative 7 > 6 -> reject all and burn.
         assert_eq!(p.server_decide(&mut s, &ctx(2, 4, 3)), 0);
-        assert!(s.burned);
-        assert_eq!(s.burned_at_round, 2);
+        assert!(p.server_is_closed(s, 4));
         // Round 3: burned servers keep rejecting and keep counting received balls.
         assert_eq!(p.server_decide(&mut s, &ctx(3, 4, 1)), 0);
-        assert_eq!(s.received_total, 8);
-        assert!(p.server_is_closed(&s, 4));
+        assert_eq!(s, 8);
+        assert!(p.server_is_closed(s, 4));
     }
 
     #[test]
     fn exact_threshold_is_still_accepted() {
         // The rule is "received MORE THAN cd", so a batch landing exactly on cd passes.
         let p = Saer::new(2, 2); // threshold 4
-        let mut s = p.init_server();
+        let mut s = 0;
         assert_eq!(p.server_decide(&mut s, &ctx(1, 0, 4)), 4);
-        assert!(!s.burned);
+        assert!(!p.server_is_closed(s, 4));
         assert_eq!(p.server_decide(&mut s, &ctx(2, 4, 1)), 0);
-        assert!(s.burned);
+        assert!(p.server_is_closed(s, 4));
     }
 
     #[test]
@@ -159,10 +144,9 @@ mod tests {
         // A single huge batch burns the server even though nothing was ever accepted:
         // this is exactly what distinguishes SAER from RAES.
         let p = Saer::new(4, 1); // threshold 4
-        let mut s = p.init_server();
+        let mut s = 0;
         assert_eq!(p.server_decide(&mut s, &ctx(1, 0, 10)), 0);
-        assert!(s.burned);
-        assert!(p.server_is_closed(&s, 0));
+        assert!(p.server_is_closed(s, 0));
     }
 
     #[test]
@@ -220,14 +204,16 @@ mod tests {
         assert!(result.max_load <= c * d);
         let loads = sim.server_loads();
         let states = sim.server_states();
-        let burned_count = states.iter().filter(|s| s.burned).count();
-        for (state, &load) in states.iter().zip(loads) {
+        let burned_count = states
+            .iter()
+            .filter(|&&received| received > protocol.threshold())
+            .count();
+        assert_eq!(burned_count as u64, result.closed_servers);
+        for (&received, &load) in states.iter().zip(loads) {
             assert!(load as u64 <= protocol.threshold());
-            if state.burned {
-                assert!(state.received_total > protocol.threshold());
-            } else {
-                assert!(state.received_total <= protocol.threshold());
-            }
+            // A server only ever accepts while its received count is within c·d, so
+            // its load never exceeds what it had received.
+            assert!(u64::from(load) <= received);
         }
         // With c = 2 and d·n balls over n servers, some servers should have burned;
         // this keeps the test meaningful (if not, the workload is too easy).

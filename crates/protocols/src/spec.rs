@@ -2,17 +2,12 @@
 //!
 //! Experiments are configured from serializable specs: [`ProtocolSpec`] names a protocol
 //! and its parameters, and [`ProtocolSpec::build`] materialises it as a
-//! `Box<dyn ErasedProtocol>` — the object-safe protocol layer of `clb-engine`. The boxed
-//! protocol implements [`Protocol`](clb_engine::Protocol) itself, so it plugs into the
-//! simulation builder exactly like a concrete type and produces bit-identical results
-//! (the `erased_equivalence` integration test pins this down for every variant).
-//!
-//! This replaces the old hand-maintained `AnyProtocol`/`AnyServerState` enum pair:
-//! adding a protocol no longer means threading a new variant through five dispatch
-//! methods — implement `Protocol`, add a constructor arm here, done.
+//! `Box<dyn Protocol>`, which the simulation builder takes as is — the same form it
+//! stores a concrete protocol in. Adding a protocol means implementing `Protocol` and
+//! adding a constructor arm here.
 
 use crate::{Jsq, KChoice, OneShot, Raes, Saer, Threshold};
-use clb_engine::{erase, ErasedProtocol};
+use clb_engine::Protocol;
 use serde::{Deserialize, Serialize};
 
 /// A serializable description of a protocol and its parameters.
@@ -55,26 +50,15 @@ pub enum ProtocolSpec {
 
 impl ProtocolSpec {
     /// Materialises the spec as a runtime-dispatched protocol.
-    pub fn build(&self) -> Box<dyn ErasedProtocol> {
+    pub fn build(&self) -> Box<dyn Protocol> {
         match *self {
-            ProtocolSpec::Saer { c, d } => erase(Saer::new(c, d)),
-            ProtocolSpec::Raes { c, d } => erase(Raes::new(c, d)),
-            ProtocolSpec::Threshold { per_round } => erase(Threshold::new(per_round)),
-            ProtocolSpec::KChoice { k, capacity } => erase(KChoice::new(k, capacity)),
-            ProtocolSpec::OneShot => erase(OneShot::new()),
-            ProtocolSpec::Jsq { d } => erase(Jsq::new(d)),
+            ProtocolSpec::Saer { c, d } => Box::new(Saer::new(c, d)),
+            ProtocolSpec::Raes { c, d } => Box::new(Raes::new(c, d)),
+            ProtocolSpec::Threshold { per_round } => Box::new(Threshold::new(per_round)),
+            ProtocolSpec::KChoice { k, capacity } => Box::new(KChoice::new(k, capacity)),
+            ProtocolSpec::OneShot => Box::new(OneShot::new()),
+            ProtocolSpec::Jsq { d } => Box::new(Jsq::new(d)),
         }
-    }
-
-    /// Materialises the spec and pipes it through `wrap` — the composition hook for
-    /// adapter layers that decorate an erased protocol (fault injection wraps each
-    /// trial's protocol this way; tracing or accounting shims would slot in the same
-    /// hole). `build_with(|p| p)` is exactly [`ProtocolSpec::build`].
-    pub fn build_with(
-        &self,
-        wrap: impl FnOnce(Box<dyn ErasedProtocol>) -> Box<dyn ErasedProtocol>,
-    ) -> Box<dyn ErasedProtocol> {
-        wrap(self.build())
     }
 
     /// Every spec variant with the given parameters, for exhaustive sweeps and tests.
@@ -111,7 +95,7 @@ impl ProtocolSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clb_engine::{Demand, Protocol, ServerCtx, Simulation};
+    use clb_engine::{Demand, ServerCtx, Simulation};
     use clb_graph::{generators, log2_squared};
 
     #[test]
@@ -124,32 +108,8 @@ mod tests {
     }
 
     #[test]
-    fn build_with_identity_is_build() {
-        let spec = ProtocolSpec::Saer { c: 4, d: 2 };
-        assert_eq!(spec.build_with(|p| p).name(), spec.build().name());
-        // And the hook really does run: wrap with a rename shim.
-        struct Renamed(Box<dyn ErasedProtocol>);
-        impl Protocol for Renamed {
-            type ServerState = clb_engine::ErasedServerState;
-            fn init_server(&self) -> Self::ServerState {
-                self.0.erased_init_server()
-            }
-            fn server_decide(&self, state: &mut Self::ServerState, ctx: &ServerCtx) -> u32 {
-                self.0.erased_server_decide(state, ctx)
-            }
-            fn server_is_closed(&self, state: &Self::ServerState, load: u32) -> bool {
-                self.0.erased_server_is_closed(state, load)
-            }
-            fn name(&self) -> String {
-                format!("renamed:{}", self.0.erased_name())
-            }
-        }
-        let wrapped = spec.build_with(|p| erase(Renamed(p)));
-        assert_eq!(wrapped.name(), "renamed:saer(c=4, d=2)");
-    }
-
-    #[test]
-    fn erased_runs_match_concrete_protocol_runs() {
+    fn spec_runs_match_concrete_protocol_runs() {
+        // `.protocol(Saer::new(..))` and `.protocol(spec.build())` take the same path.
         let n = 128;
         let d = 2;
         let graph = generators::regular_random(n, log2_squared(n), 3).unwrap();
@@ -161,15 +121,16 @@ mod tests {
             .build();
         let concrete_result = concrete.run();
 
-        let mut erased = Simulation::builder(&graph)
+        let mut built = Simulation::builder(&graph)
             .protocol(ProtocolSpec::Saer { c: 4, d }.build())
             .demand(Demand::Constant(d))
             .seed(99)
             .build();
-        let erased_result = erased.run();
+        let built_result = built.run();
 
-        assert_eq!(concrete_result, erased_result);
-        assert_eq!(concrete.server_loads(), erased.server_loads());
+        assert_eq!(concrete_result, built_result);
+        assert_eq!(concrete.server_loads(), built.server_loads());
+        assert_eq!(concrete.server_states(), built.server_states());
     }
 
     #[test]
@@ -214,7 +175,7 @@ mod tests {
     #[test]
     fn closed_semantics_dispatch_correctly() {
         let saer = ProtocolSpec::Saer { c: 1, d: 1 }.build();
-        let mut state = saer.init_server();
+        let mut state = 0;
         let ctx = ServerCtx {
             server: 0,
             round: 1,
@@ -222,18 +183,13 @@ mod tests {
             incoming: 5,
         };
         assert_eq!(saer.server_decide(&mut state, &ctx), 0);
-        assert!(saer.server_is_closed(&state, 0));
-        // The concrete state is reachable through the opaque handle.
-        assert!(
-            state
-                .downcast_ref::<crate::SaerServerState>()
-                .unwrap()
-                .burned
-        );
+        assert!(saer.server_is_closed(state, 0));
+        // SAER's state word is its received-request count.
+        assert_eq!(state, 5);
 
         let oneshot = ProtocolSpec::OneShot.build();
-        let mut state = oneshot.init_server();
+        let mut state = 0;
         assert_eq!(oneshot.server_decide(&mut state, &ctx), 5);
-        assert!(!oneshot.server_is_closed(&state, 1_000_000));
+        assert!(!oneshot.server_is_closed(state, 1_000_000));
     }
 }

@@ -31,27 +31,12 @@ impl Threshold {
     }
 }
 
-/// Per-server statistics for the threshold protocol.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ThresholdServerState {
-    /// Requests rejected so far.
-    pub rejected_total: u64,
-}
-
 impl Protocol for Threshold {
-    type ServerState = ThresholdServerState;
-
-    fn init_server(&self) -> ThresholdServerState {
-        ThresholdServerState::default()
+    fn server_decide(&self, _state: &mut u64, ctx: &ServerCtx) -> u32 {
+        ctx.incoming.min(self.per_round)
     }
 
-    fn server_decide(&self, state: &mut ThresholdServerState, ctx: &ServerCtx) -> u32 {
-        let accept = ctx.incoming.min(self.per_round);
-        state.rejected_total += (ctx.incoming - accept) as u64;
-        accept
-    }
-
-    fn server_is_closed(&self, _state: &ThresholdServerState, _current_load: u32) -> bool {
+    fn server_is_closed(&self, _state: u64, _current_load: u32) -> bool {
         false
     }
 
@@ -78,12 +63,11 @@ mod tests {
     #[test]
     fn caps_each_round_independently() {
         let p = Threshold::new(3);
-        let mut s = p.init_server();
+        let mut s = 0;
         assert_eq!(p.server_decide(&mut s, &ctx(5)), 3);
-        assert_eq!(s.rejected_total, 2);
         assert_eq!(p.server_decide(&mut s, &ctx(2)), 2);
-        assert_eq!(s.rejected_total, 2);
-        assert!(!p.server_is_closed(&s, 1000));
+        assert_eq!(s, 0, "the threshold rule keeps no state of its own");
+        assert!(!p.server_is_closed(s, 1000));
         assert_eq!(p.name(), "threshold(T=3)");
     }
 

@@ -18,7 +18,7 @@ proptest! {
     ) {
         let protocol = Saer::new(c, d);
         let threshold = (c * d) as u64;
-        let mut state = protocol.init_server();
+        let mut state = 0u64;
         let mut load = 0u32;
         let mut received = 0u64;
         let mut burned_seen = false;
@@ -35,13 +35,14 @@ proptest! {
                 prop_assert_eq!(accepted, 0, "burned servers must reject forever");
             }
             load += accepted;
-            // The burn condition is exactly "received more than c·d so far".
-            prop_assert_eq!(state.burned, received > threshold);
-            prop_assert_eq!(protocol.server_is_closed(&state, load), state.burned);
-            burned_seen = state.burned;
+            // The state word is the received count, and the burn condition is exactly
+            // "received more than c·d so far".
+            prop_assert_eq!(state, received);
+            let burned = protocol.server_is_closed(state, load);
+            prop_assert_eq!(burned, received > threshold);
+            burned_seen = burned;
             // The load guarantee follows from the rule.
             prop_assert!(load as u64 <= threshold);
-            prop_assert_eq!(state.received_total, received);
         }
     }
 
@@ -53,7 +54,7 @@ proptest! {
     ) {
         let protocol = Raes::new(c, d);
         let threshold = c * d;
-        let mut state = protocol.init_server();
+        let mut state = 0u64;
         let mut load = 0u32;
         for (round, &incoming) in batches.iter().enumerate() {
             if incoming == 0 {
@@ -70,7 +71,7 @@ proptest! {
             }
             load += accepted;
             prop_assert!(load <= threshold);
-            prop_assert_eq!(protocol.server_is_closed(&state, load), load >= threshold);
+            prop_assert_eq!(protocol.server_is_closed(state, load), load >= threshold);
         }
     }
 
@@ -84,8 +85,8 @@ proptest! {
     ) {
         let saer = Saer::new(c, d);
         let raes = Raes::new(c, d);
-        let mut saer_state = saer.init_server();
-        let mut raes_state = raes.init_server();
+        let mut saer_state = 0u64;
+        let mut raes_state = 0u64;
         let mut saer_load = 0u32;
         let mut raes_load = 0u32;
         for (round, &incoming) in batches.iter().enumerate() {
@@ -106,8 +107,7 @@ proptest! {
         batches in prop::collection::vec(0u32..50, 1..30),
     ) {
         let protocol = Threshold::new(t);
-        let mut state = protocol.init_server();
-        let mut rejected = 0u64;
+        let mut state = 0u64;
         for (round, &incoming) in batches.iter().enumerate() {
             if incoming == 0 {
                 continue;
@@ -117,8 +117,7 @@ proptest! {
             prop_assert!(accepted <= t);
             prop_assert!(accepted <= incoming);
             prop_assert_eq!(accepted, incoming.min(t));
-            rejected += (incoming - accepted) as u64;
-            prop_assert_eq!(state.rejected_total, rejected);
+            prop_assert_eq!(state, 0, "the threshold rule keeps no state");
         }
     }
 }

@@ -65,7 +65,14 @@ fn main() {
         c * d
     );
 
-    let burned = sim.server_states().iter().filter(|s| s.burned).count();
+    // SAER's per-server state word is its received-request count.
+    let saer = sim.protocol();
+    let burned = sim
+        .server_states()
+        .iter()
+        .zip(sim.server_loads())
+        .filter(|&(&received, &load)| saer.server_is_closed(received, load))
+        .count();
     println!("  burned servers : {burned} of {n}");
 
     // 4. Contrast with the one-shot baseline (servers accept everything).

@@ -16,7 +16,7 @@
 //! |-------|----------|
 //! | [`rng`] (`clb-rng`) | splittable deterministic random streams and sampling utilities |
 //! | [`graph`] (`clb-graph`) | bipartite client-server graphs, degree statistics, topology generators |
-//! | [`engine`] (`clb-engine`) | the synchronous round engine (model M), the fluent simulation builder, the object-safe `ErasedProtocol` layer, work accounting, observers |
+//! | [`engine`] (`clb-engine`) | the synchronous round engine (model M), the fluent simulation builder, the object-safe `Protocol` trait with engine-owned `u64` server state, work accounting, observers |
 //! | [`protocols`] (`clb-protocols`) | SAER, RAES, threshold and k-choice baselines; `ProtocolSpec` for runtime selection |
 //! | [`sequential`] (`clb-sequential`) | sequential one-choice / best-of-k / Godfrey greedy baselines |
 //! | [`analysis`] (`clb-analysis`) | the paper's recurrences, bounds and concentration inequalities; statistics |
@@ -191,8 +191,8 @@ pub mod prelude {
     };
     pub use clb_core::shard::{ShardError, ShardPlan};
     pub use clb_engine::{
-        erase, ArrivalProcess, Demand, ErasedProtocol, OnlineWorkload, Protocol, RoundRecord,
-        RunResult, ServiceDistribution, SettleRule, SimConfig, Simulation, SimulationBuilder,
+        ArrivalProcess, Demand, OnlineWorkload, Protocol, RoundRecord, RunResult,
+        ServiceDistribution, SettleRule, SimConfig, Simulation, SimulationBuilder,
     };
     pub use clb_faults::{
         CrashFault, FaultAdapter, FaultPlan, LoadLieFault, MessageLossFault, StragglerFault,

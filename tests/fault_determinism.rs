@@ -2,13 +2,14 @@
 //! *composite* fault plan — crash-stop, lying loads, message loss and stragglers all
 //! active at once — must be **bit-identical** (`SweepReport ==`) across thread counts
 //! 1, 2 and 4, across shard counts 1, 2 and 3 (real worker subprocesses, plans
-//! shipped over the v3 wire format), and in both retention modes. Fault draws come
+//! shipped over the shard wire format), and in both retention modes. Fault draws come
 //! from dedicated per-`(server, kind, round)` RNG streams in their own domain, so
 //! they are pure functions of the trial seed: no execution schedule can perturb them.
 //!
 //! This is the faulted sibling of `tests/parallel_determinism.rs` (threads) and
-//! `tests/shard_determinism.rs` (processes); the empty-plan identity at the *engine*
-//! level lives in `tests/erased_equivalence.rs`.
+//! `tests/shard_determinism.rs` (processes). The empty-plan identity is pinned twice:
+//! at the engine level (every `ProtocolSpec`, wrapped vs unwrapped) and at the
+//! scenario level.
 
 use clb::prelude::*;
 
@@ -97,7 +98,7 @@ fn faulted_runs_are_bit_identical_across_thread_counts_in_both_retention_modes()
 
 #[test]
 fn faulted_runs_are_bit_identical_across_shard_counts_in_both_retention_modes() {
-    // Fault plans travel driver→worker inside the v3 wire-format configs; the merged
+    // Fault plans travel driver→worker inside the wire-format configs; the merged
     // report must match the in-process run bit-for-bit at every shard count, in both
     // retention modes (raw outcomes and accumulator states both carry the new
     // surviving-server data over the wire).
@@ -112,6 +113,56 @@ fn faulted_runs_are_bit_identical_across_shard_counts_in_both_retention_modes() 
                 "faulted SweepReport diverged between in-process and {shards}-shard \
                  execution under {retention:?} retention"
             );
+        }
+    }
+}
+
+/// Runs one simulation and captures everything observable about the outcome.
+fn observe(graph: &BipartiteGraph, protocol: Box<dyn Protocol>, d: u32, seed: u64) -> Observations {
+    let mut sim = Simulation::builder(graph)
+        .protocol(protocol)
+        .demand(Demand::Constant(d))
+        .seed(seed)
+        .max_rounds(2_000)
+        .build();
+    let result = sim.run();
+    Observations {
+        result,
+        loads: sim.server_loads().to_vec(),
+        states: sim.server_states().to_vec(),
+        assignments: graph.clients().map(|c| sim.client_assignment(c)).collect(),
+    }
+}
+
+#[derive(Debug, PartialEq)]
+struct Observations {
+    result: RunResult,
+    loads: Vec<u32>,
+    states: Vec<u64>,
+    assignments: Vec<Vec<Option<u32>>>,
+}
+
+#[test]
+fn empty_fault_plan_wrap_is_bit_identical_to_no_adapter() {
+    // The fault adapter sits between the engine and the protocol on every decide
+    // call, so an *empty* plan is the sharpest identity check the wrapper admits: if
+    // the pass-through perturbs a single RNG draw, decision or state word, some spec
+    // diverges. Generous and tight parameterisations of every variant, so both the
+    // completing and the non-completing (round-capped) paths are compared.
+    let d = 2;
+    let graph = generators::regular_random(128, log2_squared(128), 11).unwrap();
+    for (c, spec_d) in [(8, 2), (2, 1), (1, 3)] {
+        for spec in ProtocolSpec::all_variants(c, spec_d) {
+            for seed in [1u64, 99, 2024] {
+                let bare = observe(&graph, spec.build(), d, seed);
+                let wrapped = observe(&graph, FaultPlan::none().wrap(spec.build(), seed), d, seed);
+                assert_eq!(
+                    bare,
+                    wrapped,
+                    "{} diverged under an empty FaultPlan wrap (seed {seed})",
+                    spec.label()
+                );
+            }
         }
     }
 }

@@ -44,13 +44,15 @@ proptest! {
         // Work parity: every message count is even (request + answer).
         prop_assert_eq!(result.total_messages % 2, 0);
 
-        // Burned servers really received more than c·d requests.
-        for state in sim.server_states() {
-            if state.burned {
-                prop_assert!(state.received_total > (c * d) as u64);
-            } else {
-                prop_assert!(state.received_total <= (c * d) as u64);
-            }
+        // SAER's state word counts the requests a server received: the words sum to
+        // the requests sent, the closed servers are exactly those past c·d, and no
+        // server holds more balls than it received.
+        let states = sim.server_states();
+        prop_assert_eq!(states.iter().sum::<u64>(), result.total_messages / 2);
+        let burned = states.iter().filter(|&&received| received > (c * d) as u64).count();
+        prop_assert_eq!(burned as u64, result.closed_servers);
+        for (&received, &load) in states.iter().zip(sim.server_loads()) {
+            prop_assert!(u64::from(load) <= received);
         }
     }
 

@@ -93,12 +93,13 @@ fn saer_wastes_capacity_where_raes_does_not() {
             );
         }
 
-        // SAER, in this tight regime, burns at least one server below capacity.
+        // SAER, in this tight regime, burns at least one server below capacity: its
+        // state word (requests received) is past c·d while its load is not.
         let wasted = saer
             .server_states()
             .iter()
             .zip(saer.server_loads())
-            .filter(|(state, &load)| state.burned && load < c * d)
+            .filter(|&(&received, &load)| received > u64::from(c * d) && load < c * d)
             .count();
         assert!(
             wasted > 0,
@@ -113,6 +114,26 @@ fn saer_wastes_capacity_where_raes_does_not() {
             raes_result.unassigned_balls
         );
     }
+}
+
+/// SAER's state word is its received-request count, so the servers whose count is
+/// past c·d are exactly the burned ones — the closed census the engine reports.
+#[test]
+fn saer_state_words_match_the_closed_census() {
+    let graph = generators::regular_random(128, log2_squared(128), 2).unwrap();
+    let mut sim = Simulation::builder(&graph)
+        .protocol(ProtocolSpec::Saer { c: 2, d: 2 }.build())
+        .demand(Demand::Constant(2))
+        .seed(13)
+        .build();
+    let result = sim.run();
+    let burned = sim
+        .server_states()
+        .iter()
+        .filter(|&&received| received > 2 * 2)
+        .count() as u64;
+    assert!(burned > 0, "c = 2 should burn some servers");
+    assert_eq!(burned, result.closed_servers);
 }
 
 /// SAER's work and completion signature is indistinguishable from RAES's in the easy
