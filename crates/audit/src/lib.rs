@@ -117,7 +117,7 @@ pub fn audit_source(source: &str, class: SourceClass, registry: &Registry) -> Fi
 pub fn classify(rel: &str) -> SourceClass {
     let test_code = rel
         .split('/')
-        .any(|part| part == "tests" || part == "benches" || part == "examples");
+        .any(|part| part == "tests" || part == "examples");
     SourceClass {
         test_code,
         bench_crate: rel.starts_with("crates/bench/"),
@@ -267,7 +267,7 @@ mod tests {
     #[test]
     fn classification_by_path() {
         assert!(classify("crates/core/tests/determinism.rs").test_code);
-        assert!(classify("crates/bench/src/bin/perf_smoke.rs").bench_crate);
+        assert!(classify("crates/bench/src/bin/exp_scale_stress.rs").bench_crate);
         assert!(classify(REGISTRY_PATH).registry_file);
         assert!(classify(WIRE_PATH).wire_file);
         let plain = classify("crates/core/src/scenario.rs");

@@ -36,10 +36,10 @@ pub struct Finding {
 /// How the orchestrator classified a source file; determines which rules apply.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SourceClass {
-    /// Integration tests, benches and examples: every token rule is off (test
+    /// Integration tests and examples: every token rule is off (test
     /// code may use unordered collections, clocks and arbitrary domain tags).
     pub test_code: bool,
-    /// `crates/bench`: wall-clock reads are this crate's whole purpose.
+    /// `crates/bench`: experiment binaries, which may time themselves.
     pub bench_crate: bool,
     /// `crates/rng/src/domains.rs`: the one file allowed to declare `*_DOMAIN`.
     pub registry_file: bool,

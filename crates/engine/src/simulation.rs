@@ -1708,6 +1708,72 @@ mod tests {
         }
     }
 
+    /// SAER's rule with threshold `c·d`: accept while the cumulative received count
+    /// stays within it, otherwise burn. (`clb_protocols::Saer` implements the trait of
+    /// the dev-dependency's copy of this crate, not this one.)
+    struct SaerRule(u64);
+    impl Protocol for SaerRule {
+        fn server_decide(&self, received: &mut u64, ctx: &ServerCtx) -> u32 {
+            *received += u64::from(ctx.incoming);
+            if *received > self.0 {
+                0
+            } else {
+                ctx.incoming
+            }
+        }
+        fn server_is_closed(&self, received: u64, _load: u32) -> bool {
+            received > self.0
+        }
+    }
+
+    #[test]
+    fn size_derived_plan_is_identical_across_thread_counts() {
+        // Degree-8 striped graph: client `c` is wired to servers `(7c + i) mod S` for
+        // i < 8, with S = n / 32, so each server sees ~32 requests in the first round.
+        let clients = 1usize << 17;
+        let servers = clients / 32;
+        let edges: Vec<(u32, u32)> = (0..clients)
+            .flat_map(|c| (0..8).map(move |i| (c as u32, ((7 * c + i) % servers) as u32)))
+            .collect();
+        let g = clb_graph::BipartiteGraph::from_edges(clients, servers, &edges).unwrap();
+
+        // One ball per client and one choice per round: these sizes split the sort and
+        // the settling into pieces but keep the server-range phases whole.
+        let plan = PiecePlan::for_sizes(clients, servers, clients, None);
+        assert!(
+            plan.sort > 1 && plan.slot > 1 && plan.server == 1,
+            "expected a mixed plan, got {plan:?}"
+        );
+
+        let run_with = |threads: usize| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            pool.install(|| {
+                let mut sim = Simulation::builder(&g)
+                    .protocol(SaerRule(24 * 2))
+                    .demand(Demand::Constant(1))
+                    .seed(88)
+                    .max_rounds(200)
+                    .build();
+                let mut records = Vec::new();
+                while !sim.is_complete() && sim.round() < 200 {
+                    records.push(sim.step());
+                }
+                (records, sim.result(), sim.server_loads().to_vec())
+            })
+        };
+        let baseline = run_with(1);
+        assert!(
+            baseline.0.len() > 1,
+            "the instance should take several rounds"
+        );
+        for threads in [2, 4] {
+            assert_eq!(run_with(threads), baseline, "threads={threads}");
+        }
+    }
+
     #[test]
     fn explicit_demand_with_zero_ball_clients() {
         let g = generators::regular_random(4, 2, 5).unwrap();
