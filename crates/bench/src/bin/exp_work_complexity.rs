@@ -19,12 +19,9 @@ fn assert_message_accounting() {
         .demand(Demand::Constant(2))
         .seed(42)
         .max_rounds(600)
-        .observer(TrajectoryObserver::new())
         .build();
-    let result = sim.run();
-    let trajectory = sim
-        .observer::<TrajectoryObserver>()
-        .expect("observer attached");
+    let mut trajectory = TrajectoryObserver::new();
+    let result = sim.run_observed(&mut [&mut trajectory]);
     let request_messages: u64 = trajectory.records.iter().map(|r| 2 * r.requests_sent).sum();
     assert_eq!(
         result.total_messages, request_messages,

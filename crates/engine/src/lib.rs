@@ -36,9 +36,8 @@
 //!   harness in `tests/alloc_free.rs`.
 //! * [`observe`] — round observers that record the quantities the paper's analysis
 //!   tracks: the burned/saturated fraction `S_t`, the per-neighbourhood request mass
-//!   `r_t(N(v))`, alive balls, loads and work. Observers can be borrowed per run
-//!   ([`Simulation::run_observed`]) or owned by the simulation via the builder's
-//!   `observer(..)` and read back with [`Simulation::observer`].
+//!   `r_t(N(v))`, alive balls, loads and work. Observers are borrowed per run
+//!   through [`Simulation::run_observed`], so the caller keeps and reads them.
 //! * [`workload`] — online (open-system) workloads: an [`ArrivalProcess`] injects
 //!   balls at round boundaries, settled balls depart after a sampled
 //!   [`ServiceDistribution`] time and free their server's slot. The batch semantics

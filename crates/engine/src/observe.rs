@@ -33,26 +33,6 @@ pub trait Observer {
     fn on_round(&mut self, view: &RoundView<'_>);
 }
 
-/// Object-safe pairing of [`Observer`] and [`Any`](std::any::Any), used by the
-/// simulation builder to own observers while still letting callers downcast them back
-/// to their concrete type after a run.
-pub(crate) trait AnyObserver: Observer {
-    /// The `Any` view, for downcasting.
-    fn as_any(&self) -> &dyn std::any::Any;
-    /// The `Observer` view, for dispatch.
-    fn as_observer_mut(&mut self) -> &mut dyn Observer;
-}
-
-impl<T: Observer + std::any::Any> AnyObserver for T {
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_observer_mut(&mut self) -> &mut dyn Observer {
-        self
-    }
-}
-
 /// Records every [`RoundRecord`] of the run.
 #[derive(Debug, Default, Clone, Serialize, Deserialize)]
 pub struct TrajectoryObserver {

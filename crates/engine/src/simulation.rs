@@ -29,7 +29,7 @@
 use crate::{
     config::SimConfig,
     demand::Demand,
-    observe::{AnyObserver, Observer, RoundView},
+    observe::{Observer, RoundView},
     protocol::{Protocol, ServerCtx, SettleRule},
     workload::OnlineWorkload,
 };
@@ -38,7 +38,6 @@ use clb_rng::domains::PROTOCOL_DOMAIN;
 use clb_rng::{RandomSource, StreamFactory};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::any::Any;
 use std::ops::Range;
 
 /// Sentinel for "ball not yet assigned to any server".
@@ -495,9 +494,8 @@ struct CensusPiece<'a> {
 /// Fluent constructor for [`Simulation`], obtained from [`Simulation::builder`].
 ///
 /// The graph and the protocol are required; demand defaults to `Constant(1)`, the seed
-/// to 0 and the round cap to [`SimConfig::DEFAULT_MAX_ROUNDS`]. Observers attached here
-/// are owned by the simulation, invoked after every round, and can be read back with
-/// [`Simulation::observer`] once the run is over.
+/// to 0 and the round cap to [`SimConfig::DEFAULT_MAX_ROUNDS`]. Observers are borrowed
+/// per run through [`Simulation::run_observed`].
 ///
 /// ```
 /// use clb_engine::{Demand, MaxLoadObserver, Simulation};
@@ -513,17 +511,16 @@ struct CensusPiece<'a> {
 ///     .demand(Demand::Constant(2))
 ///     .seed(42)
 ///     .max_rounds(600)
-///     .observer(MaxLoadObserver::new())
 ///     .build();
-/// let result = sim.run();
-/// assert_eq!(sim.observer::<MaxLoadObserver>().unwrap().max_load, result.max_load);
+/// let mut max_load = MaxLoadObserver::new();
+/// let result = sim.run_observed(&mut [&mut max_load]);
+/// assert_eq!(max_load.max_load, result.max_load);
 /// ```
 pub struct SimulationBuilder<'g> {
     graph: &'g BipartiteGraph,
     protocol: Option<Box<dyn Protocol>>,
     demand: Demand,
     config: SimConfig,
-    observers: Vec<Box<dyn AnyObserver + Send>>,
     intra_pieces: Option<usize>,
     workload: Option<OnlineWorkload>,
 }
@@ -535,7 +532,6 @@ impl<'g> SimulationBuilder<'g> {
             protocol: None,
             demand: Demand::Constant(1),
             config: SimConfig::default(),
-            observers: Vec::new(),
             intra_pieces: None,
             workload: None,
         }
@@ -580,14 +576,6 @@ impl<'g> SimulationBuilder<'g> {
     /// instances small enough to check exhaustively.
     pub fn intra_step_pieces(mut self, pieces: usize) -> Self {
         self.intra_pieces = Some(pieces);
-        self
-    }
-
-    /// Attaches an owned observer, invoked after every round; read it back after the
-    /// run with [`Simulation::observer`]. Observers are `Send` so a built simulation
-    /// can move onto a pool worker whole (the scenario grid runs trials that way).
-    pub fn observer(mut self, observer: impl Observer + Any + Send) -> Self {
-        self.observers.push(Box::new(observer));
         self
     }
 
@@ -714,7 +702,6 @@ impl<'g> SimulationBuilder<'g> {
             in_service: 0,
             online,
             buffers,
-            observers: self.observers,
         }
     }
 }
@@ -782,7 +769,6 @@ pub struct Simulation<'g> {
     online: Option<OnlineState>,
 
     buffers: RoundBuffers,
-    observers: Vec<Box<dyn AnyObserver + Send>>,
 }
 
 impl<'g> Simulation<'g> {
@@ -861,13 +847,6 @@ impl<'g> Simulation<'g> {
         &self.server_states
     }
 
-    /// Borrows the first builder-attached observer of concrete type `T`, if any.
-    pub fn observer<T: Observer + Any>(&self) -> Option<&T> {
-        self.observers
-            .iter()
-            .find_map(|o| (**o).as_any().downcast_ref::<T>())
-    }
-
     /// The servers assigned to the balls of `client`, one entry per ball;
     /// `None` for balls still alive.
     pub fn client_assignment(&self, client: ClientId) -> Vec<Option<u32>> {
@@ -879,51 +858,28 @@ impl<'g> Simulation<'g> {
             .collect()
     }
 
-    /// Executes one round and returns its summary record. Builder-attached observers
-    /// see the round exactly as they would under [`Simulation::run`].
-    pub fn step(&mut self) -> RoundRecord {
-        let record = self.step_internal();
-        self.notify_observers(&record, &mut []);
-        record
-    }
-
-    /// Executes rounds until completion or the round cap, notifying builder-attached
-    /// observers after each round.
+    /// Executes rounds until completion or the round cap.
     pub fn run(&mut self) -> RunResult {
         self.run_observed(&mut [])
     }
 
-    /// Executes rounds until completion or the round cap, invoking builder-attached
-    /// observers and then every borrowed observer after each round.
+    /// Executes rounds until completion or the round cap, invoking every borrowed
+    /// observer after each round.
     pub fn run_observed(&mut self, observers: &mut [&mut dyn Observer]) -> RunResult {
         while !self.is_complete() && self.round < self.config.max_rounds {
-            let record = self.step_internal();
-            self.notify_observers(&record, observers);
+            let record = self.step();
+            let view = RoundView {
+                record: &record,
+                graph: self.graph,
+                server_loads: &self.server_load,
+                requests_per_server: &self.buffers.requests_per_server,
+                closed: &self.buffers.closed,
+            };
+            for obs in observers.iter_mut() {
+                obs.on_round(&view);
+            }
         }
         self.result()
-    }
-
-    fn notify_observers(&mut self, record: &RoundRecord, external: &mut [&mut dyn Observer]) {
-        if self.observers.is_empty() && external.is_empty() {
-            return;
-        }
-        // The view borrows the simulation's state while the owned observers need a
-        // mutable borrow; detach them for the duration of the dispatch.
-        let mut owned = std::mem::take(&mut self.observers);
-        let view = RoundView {
-            record,
-            graph: self.graph,
-            server_loads: &self.server_load,
-            requests_per_server: &self.buffers.requests_per_server,
-            closed: &self.buffers.closed,
-        };
-        for obs in owned.iter_mut() {
-            obs.as_observer_mut().on_round(&view);
-        }
-        for obs in external.iter_mut() {
-            obs.on_round(&view);
-        }
-        self.observers = owned;
     }
 
     /// The outcome so far (callable at any point; `completed` reflects the current
@@ -957,10 +913,11 @@ impl<'g> Simulation<'g> {
         }
     }
 
-    /// One round: phase 1 (clients submit), phase 2 (servers decide), phase 3 (balls
-    /// settle), census. Every phase runs over contiguous pieces per the build-time
-    /// [`PiecePlan`] and merges in piece-index order; nothing is allocated on the way.
-    fn step_internal(&mut self) -> RoundRecord {
+    /// Executes one round and returns its summary record: phase 1 (clients submit),
+    /// phase 2 (servers decide), phase 3 (balls settle), census. Every phase runs over
+    /// contiguous pieces per the build-time piece plan and merges in piece-index
+    /// order; nothing is allocated on the way.
+    pub fn step(&mut self) -> RoundRecord {
         self.round += 1;
         let round = self.round;
 
@@ -1380,7 +1337,6 @@ impl<'g> Simulation<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observe::MaxLoadObserver;
     use clb_graph::generators;
 
     /// Servers accept everything: classic one-choice.
@@ -1577,7 +1533,7 @@ mod tests {
     }
 
     /// Builds the within-segment ranks with a given sort-piece count via the same
-    /// three passes `step_internal` drives, serially.
+    /// three passes `step` drives, serially.
     fn rank_with_pieces(
         request_server: &[u32],
         num_servers: usize,
@@ -1805,36 +1761,6 @@ mod tests {
     fn builder_requires_a_protocol() {
         let g = generators::regular_random(4, 2, 5).unwrap();
         let _ = Simulation::builder(&g).demand(Demand::Constant(1)).build();
-    }
-
-    #[test]
-    fn builder_attached_observers_see_every_round() {
-        let g = generators::regular_random(16, 4, 9).unwrap();
-        let mut sim = Simulation::builder(&g)
-            .protocol(OpensAt(3))
-            .demand(Demand::Constant(2))
-            .seed(11)
-            .observer(MaxLoadObserver::new())
-            .build();
-        let result = sim.run();
-        let obs = sim
-            .observer::<MaxLoadObserver>()
-            .expect("observer attached");
-        assert_eq!(obs.max_load, result.max_load);
-        // Stepping drives the same observers, too.
-        let mut stepped = Simulation::builder(&g)
-            .protocol(OpensAt(3))
-            .demand(Demand::Constant(2))
-            .seed(11)
-            .observer(MaxLoadObserver::new())
-            .build();
-        while !stepped.is_complete() {
-            stepped.step();
-        }
-        assert_eq!(
-            stepped.observer::<MaxLoadObserver>().unwrap().max_load,
-            result.max_load
-        );
     }
 
     /// A protocol whose per-round choice count is absurdly large, to hit the request

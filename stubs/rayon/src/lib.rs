@@ -5,10 +5,10 @@
 //! The API mirrors `rayon` 1.x exactly where the workspace uses it, so swapping in
 //! the upstream crate stays a one-line `Cargo.toml` change. Like upstream, the
 //! scheduler is a per-worker-deque work stealer with true nested parallelism:
-//! `join`, [`scope`] and parallel drives issued *from inside a pool job* push their
-//! sub-tasks onto the running worker's own deque, where idle workers steal them —
-//! nesting fans out instead of degrading to sequential execution (`pool` module
-//! docs describe the scheduler). Results are **bit-identical to sequential
+//! `join` and parallel drives issued *from inside a pool job* push their sub-tasks
+//! onto the running worker's own deque, where idle workers steal them — nesting
+//! fans out instead of degrading to sequential execution (`pool` module docs
+//! describe the scheduler). Results are **bit-identical to sequential
 //! execution** by construction regardless: producers split into contiguous index
 //! ranges and every driver merges piece results in index order, so stealing decides
 //! *who* runs a piece, never *where its result merges*.
@@ -22,12 +22,11 @@
 mod pool;
 pub mod producer;
 
-pub use pool::{PoolStats, Scope, SMALL_DRIVE_CUTOFF};
+pub use pool::{PoolStats, SMALL_DRIVE_CUTOFF};
 
 use producer::{
-    ChunksMutProducer, EnumerateProducer, FilterProducer, FlatMapProducer, IndexedProducer,
-    MapProducer, Producer, RangeProducer, SliceMutProducer, SliceProducer, VecProducer,
-    ZipProducer,
+    ChunksMutProducer, MapProducer, Producer, RangeProducer, SliceMutProducer, SliceProducer,
+    VecProducer, ZipProducer,
 };
 use std::sync::Arc;
 
@@ -63,53 +62,11 @@ impl<P: Producer> ParIter<P> {
         }
     }
 
-    pub fn flat_map_iter<F, J>(self, f: F) -> ParIter<FlatMapProducer<P, F>>
-    where
-        F: Fn(P::Item) -> J + Send + Sync,
-        J: IntoIterator,
-        J::Item: Send,
-    {
-        ParIter {
-            producer: FlatMapProducer {
-                base: self.producer,
-                f: Arc::new(f),
-            },
-        }
-    }
-
-    pub fn filter<F>(self, f: F) -> ParIter<FilterProducer<P, F>>
-    where
-        F: Fn(&P::Item) -> bool + Send + Sync,
-    {
-        ParIter {
-            producer: FilterProducer {
-                base: self.producer,
-                f: Arc::new(f),
-            },
-        }
-    }
-
-    pub fn zip<Q>(self, other: ParIter<Q>) -> ParIter<ZipProducer<P, Q>>
-    where
-        P: IndexedProducer,
-        Q: IndexedProducer,
-    {
+    pub fn zip<Q: Producer>(self, other: ParIter<Q>) -> ParIter<ZipProducer<P, Q>> {
         ParIter {
             producer: ZipProducer {
                 a: self.producer,
                 b: other.producer,
-            },
-        }
-    }
-
-    pub fn enumerate(self) -> ParIter<EnumerateProducer<P>>
-    where
-        P: IndexedProducer,
-    {
-        ParIter {
-            producer: EnumerateProducer {
-                base: self.producer,
-                offset: 0,
             },
         }
     }
@@ -152,31 +109,6 @@ impl<P: Producer> ParIter<P> {
         }
     }
 
-    /// Sum via per-piece partial sums (see [`ParIter::reduce`] for the determinism
-    /// contract; exact for the integer sums this workspace uses).
-    pub fn sum<S>(self) -> S
-    where
-        S: Send + std::iter::Sum<P::Item> + std::iter::Sum<S>,
-    {
-        if pool::run_sequentially(self.producer.len()) {
-            self.producer.into_seq().sum()
-        } else {
-            pool::run_parallel(self.producer, &|piece: P| piece.into_seq().sum::<S>())
-                .into_iter()
-                .sum()
-        }
-    }
-
-    pub fn count(self) -> usize {
-        if pool::run_sequentially(self.producer.len()) {
-            self.producer.into_seq().count()
-        } else {
-            pool::run_parallel(self.producer, &|piece: P| piece.into_seq().count())
-                .into_iter()
-                .sum()
-        }
-    }
-
     pub fn for_each<F>(self, f: F)
     where
         F: Fn(P::Item) + Send + Sync,
@@ -185,32 +117,6 @@ impl<P: Producer> ParIter<P> {
             self.producer.into_seq().for_each(&f);
         } else {
             pool::run_parallel(self.producer, &|piece: P| piece.into_seq().for_each(&f));
-        }
-    }
-
-    /// Mirror of rayon's `for_each_init`: per-executor scratch, created once per
-    /// contiguous piece and threaded through that piece's items in index order.
-    ///
-    /// Upstream calls `init` once per rayon *job*; here it runs once per piece, which
-    /// is the same contract observable-behaviour-wise: code must already treat the
-    /// scratch as arbitrary-reuse (a cached allocation, an RNG to reseed per item),
-    /// never as a cross-item accumulator — a fold through the scratch would depend on
-    /// piece boundaries under either implementation.
-    pub fn for_each_init<OP, INIT, T>(self, init: INIT, op: OP)
-    where
-        INIT: Fn() -> T + Send + Sync,
-        OP: Fn(&mut T, P::Item) + Send + Sync,
-    {
-        if pool::run_sequentially(self.producer.len()) {
-            let mut scratch = init();
-            self.producer
-                .into_seq()
-                .for_each(|item| op(&mut scratch, item));
-        } else {
-            pool::run_parallel(self.producer, &|piece: P| {
-                let mut scratch = init();
-                piece.into_seq().for_each(|item| op(&mut scratch, item));
-            });
         }
     }
 }
@@ -237,39 +143,19 @@ where
     pool::join(oper_a, oper_b)
 }
 
-/// Mirror of `rayon::scope`: spawn any number of tasks that may borrow from the
-/// enclosing stack frame; `scope` returns only after every spawn (including
-/// transitively spawned ones) has finished.
-///
-/// Spawns go onto the calling worker's own deque (or the shared injector from a
-/// non-worker thread) and may be stolen by idle workers; the scope owner drains its
-/// remaining spawns itself while it waits, so the scope never deadlocks on pool
-/// capacity. Under an effective parallelism of 1, spawns run inline at the spawn
-/// point (upstream defers them to scope exit — upstream makes no ordering guarantee
-/// between the scope body and spawns, so code correct against rayon is correct
-/// here). A panicking spawn is re-raised from `scope`; a panic in `op` itself takes
-/// precedence, matching upstream.
-pub fn scope<'scope, OP, R>(op: OP) -> R
-where
-    OP: FnOnce(&Scope<'scope>) -> R + Send,
-    R: Send,
-{
-    pool::scope(op)
-}
-
 /// Mirror of `rayon::current_num_threads`: the *effective* parallelism a drive
 /// started on this thread right now would get — an [`ThreadPool::install`] override
 /// first, then the parallelism inherited from the enclosing pool job, then the
-/// process default. Bench binaries record this (rather than `RAYON_NUM_THREADS`,
-/// which an `install` may override) so BENCH JSONs are attributable.
+/// process default. `perfbench` checks its pool width against this rather than
+/// against `RAYON_NUM_THREADS`, which an `install` may override.
 pub fn current_num_threads() -> usize {
-    pool::current_num_threads()
+    pool::current_parallelism()
 }
 
 /// Scheduler diagnostics: per-worker counters (tasks executed, steal scans
 /// attempted/succeeded, parks) summed into one snapshot. Counters are cumulative
 /// for the process lifetime and cost one relaxed `fetch_add` per event; they never
-/// feed results — bench binaries print them as the greppable `pool: ...` line.
+/// feed results — `perfbench` reports their deltas as its `rayon.*` metrics.
 pub fn pool_stats() -> PoolStats {
     pool::pool_stats()
 }
@@ -365,28 +251,14 @@ impl<'a, T: 'a + Send> IntoParallelRefMutIterator<'a> for Vec<T> {
     }
 }
 
-/// Mirror of `rayon::slice::ParallelSliceMut` (`.par_sort_unstable()`,
-/// `.par_chunks_mut()`).
+/// Mirror of `rayon::slice::ParallelSliceMut` (`.par_chunks_mut()`).
 pub trait ParallelSliceMut<T> {
-    /// Sorts sequentially — no measured path in this workspace sorts through rayon,
-    /// so the parallel merge machinery is not worth stubbing.
-    fn par_sort_unstable(&mut self)
-    where
-        T: Ord;
-
     fn par_chunks_mut(&mut self, chunk_size: usize) -> ParIter<ChunksMutProducer<'_, T>>
     where
         T: Send;
 }
 
 impl<T> ParallelSliceMut<T> for [T] {
-    fn par_sort_unstable(&mut self)
-    where
-        T: Ord,
-    {
-        self.sort_unstable();
-    }
-
     fn par_chunks_mut(&mut self, chunk_size: usize) -> ParIter<ChunksMutProducer<'_, T>>
     where
         T: Send,
@@ -487,25 +359,18 @@ mod tests {
         let doubled: Vec<u32> = v.par_iter().map(|&x| x * 2).collect();
         assert_eq!(doubled, vec![6, 2, 4]);
 
-        let pairs: Vec<(u32, u32)> = v
+        let pairs: Vec<(u32, u64)> = v
             .par_iter()
             .map(|&x| x)
-            .zip(v.par_iter().map(|&x| x))
+            .zip((10..13u64).into_par_iter())
             .collect();
-        assert_eq!(pairs.len(), 3);
+        assert_eq!(pairs, vec![(3, 10), (1, 11), (2, 12)]);
 
-        let total: u32 = v.clone().into_par_iter().sum();
+        let total = v.clone().into_par_iter().reduce(|| 0, |a, b| a + b);
         assert_eq!(total, 6);
 
         let max = v.par_iter().map(|&x| x as f64).reduce(|| 0.0, f64::max);
         assert!((max - 3.0).abs() < 1e-12);
-
-        let mut keys = vec![5u64, 1, 4];
-        keys.par_sort_unstable();
-        assert_eq!(keys, vec![1, 4, 5]);
-
-        let flat: Vec<u32> = v.par_iter().flat_map_iter(|&x| vec![x, x]).collect();
-        assert_eq!(flat, vec![3, 3, 1, 1, 2, 2]);
 
         let mut buf = vec![0u32; 6];
         buf.par_chunks_mut(2)
@@ -523,26 +388,33 @@ mod tests {
         let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
         assert_eq!(pool.install(|| 41 + 1), 42);
         assert_eq!(pool.current_num_threads(), 4);
+        assert_eq!(pool.install(current_num_threads), 4);
+        // Pool jobs inherit the width of the drive that spawned them.
+        let widths: Vec<usize> = with_threads(3, || {
+            (0..64usize)
+                .into_par_iter()
+                .map(|_| current_num_threads())
+                .collect()
+        });
+        assert!(widths.iter().all(|&w| w == 3), "widths = {widths:?}");
     }
 
     #[test]
     fn collect_order_is_identical_across_thread_counts() {
-        // Enough items to force many pieces; enumerate + filter + map exercises the
+        // Enough items to force many pieces; zip + map on both sides exercises the
         // combinator stack. The merged output must equal plain sequential iteration.
-        let input: Vec<u64> = (0..10_000).collect();
-        let expected: Vec<(usize, u64)> = input
+        let input: Vec<u64> = (0..10_000).map(|x| x * 7 % 10_007).collect();
+        let expected: Vec<(u64, u64, bool)> = input
             .iter()
-            .map(|&x| x * 3 + 1)
             .enumerate()
-            .filter(|(_, x)| x % 7 != 0)
+            .map(|(i, &x)| (i as u64, x * 3 + 1, (x * 3 + 1) % 7 == 0))
             .collect();
         for threads in [1, 2, 4, 7] {
-            let got: Vec<(usize, u64)> = with_threads(threads, || {
-                input
-                    .par_iter()
-                    .map(|&x| x * 3 + 1)
-                    .enumerate()
-                    .filter(|(_, x)| x % 7 != 0)
+            let got: Vec<(u64, u64, bool)> = with_threads(threads, || {
+                (0..input.len() as u64)
+                    .into_par_iter()
+                    .zip(input.par_iter().map(|&x| x * 3 + 1))
+                    .map(|(i, x)| (i, x, x % 7 == 0))
                     .collect()
             });
             assert_eq!(got, expected, "threads = {threads}");
@@ -693,13 +565,12 @@ mod tests {
         for threads in [1, 3, 8] {
             let (sum, max, count) = with_threads(threads, || {
                 (
-                    input.par_iter().map(|&x| x).sum::<u64>(),
+                    input.par_iter().map(|&x| x).reduce(|| 0, |a, b| a + b),
                     input.par_iter().map(|&x| x as f64).reduce(|| 0.0, f64::max),
                     input
                         .par_iter()
-                        .filter(|&&x| x % 3 == 0)
-                        .map(|&x| x)
-                        .count(),
+                        .map(|&x| usize::from(x % 3 == 0))
+                        .reduce(|| 0, |a, b| a + b),
                 )
             });
             assert_eq!(sum, seq_sum, "threads = {threads}");
@@ -794,73 +665,6 @@ mod tests {
     }
 
     #[test]
-    fn scope_spawns_complete_before_scope_returns() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let done = AtomicUsize::new(0);
-        for threads in [1, 4] {
-            done.store(0, Ordering::Relaxed);
-            with_threads(threads, || {
-                scope(|s| {
-                    for _ in 0..16 {
-                        s.spawn(|inner| {
-                            // Transitive spawns must also be awaited.
-                            inner.spawn(|_| {
-                                done.fetch_add(1, Ordering::Relaxed);
-                            });
-                            done.fetch_add(1, Ordering::Relaxed);
-                        });
-                    }
-                });
-            });
-            // clb-audit: allow(relaxed-load) -- read-after-join, exact total
-            assert_eq!(done.load(Ordering::Relaxed), 32, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn scope_spawns_may_borrow_the_enclosing_frame() {
-        let mut parts = vec![0u64; 4];
-        with_threads(4, || {
-            let (a, rest) = parts.split_at_mut(1);
-            let (b, rest) = rest.split_at_mut(1);
-            let (c, d) = rest.split_at_mut(1);
-            scope(|s| {
-                s.spawn(|_| a[0] = 1);
-                s.spawn(|_| b[0] = 2);
-                s.spawn(|_| c[0] = 3);
-                d[0] = 4;
-            });
-        });
-        assert_eq!(parts, vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn scope_propagates_spawn_panics_with_body_panic_taking_precedence() {
-        let err = std::panic::catch_unwind(|| {
-            with_threads(4, || {
-                scope(|s| {
-                    s.spawn(|_| panic!("spawn boom"));
-                });
-            })
-        })
-        .expect_err("spawn panic must propagate");
-        let message = err.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert!(message.contains("spawn boom"), "got: {message}");
-
-        let err = std::panic::catch_unwind(|| {
-            with_threads(4, || {
-                scope(|s| {
-                    s.spawn(|_| panic!("spawn boom"));
-                    panic!("body boom");
-                })
-            })
-        })
-        .expect_err("body panic must propagate");
-        let message = err.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert!(message.contains("body boom"), "got: {message}");
-    }
-
-    #[test]
     fn pool_stats_counters_move_when_parallel_work_runs() {
         let before = pool_stats();
         with_threads(4, || {
@@ -891,32 +695,6 @@ mod tests {
                 .expect_err("panic must propagate");
         let message = err.downcast_ref::<&str>().copied().unwrap_or_default();
         assert!(message.contains("left arm boom"), "got: {message}");
-    }
-
-    #[test]
-    fn for_each_init_reuses_scratch_within_a_piece() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Mutex;
-        let inits = AtomicUsize::new(0);
-        let seen = Mutex::new(vec![false; 10_000]);
-        with_threads(4, || {
-            (0..10_000usize).into_par_iter().for_each_init(
-                || {
-                    inits.fetch_add(1, Ordering::Relaxed);
-                    Vec::<usize>::with_capacity(8)
-                },
-                |scratch, i| {
-                    scratch.clear();
-                    scratch.push(i);
-                    seen.lock().unwrap()[scratch[0]] = true;
-                },
-            );
-        });
-        assert!(seen.lock().unwrap().iter().all(|&s| s));
-        // One init per piece, never per item.
-        // clb-audit: allow(relaxed-load) -- read-after-join, exact total
-        let init_count = inits.load(Ordering::Relaxed);
-        assert!(init_count <= 64, "init ran {init_count} times");
     }
 
     #[test]

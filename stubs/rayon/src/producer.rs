@@ -8,16 +8,16 @@
 //! order-sensitive driver (`collect`, most importantly) reproduces the sequential
 //! order bit-for-bit no matter how the pieces were scheduled.
 //!
-//! The combinator producers (`map`, `filter`, ...) share their closure across pieces
-//! through an [`Arc`], mirroring rayon's `Sync` closure contract: splitting is an
-//! `Arc` clone, never a closure clone.
+//! The `map` producer shares its closure across pieces through an [`Arc`],
+//! mirroring rayon's `Sync` closure contract: splitting is an `Arc` clone, never a
+//! closure clone.
 
 use std::sync::Arc;
 
-/// A splittable, exactly-sized description of parallel work.
+/// A splittable, exactly-sized description of parallel work — every producer here
+/// is indexed in upstream rayon's sense (`IndexedParallelIterator`).
 ///
-/// `len` counts *base* items (for `filter`/`flat_map_iter` the produced item count
-/// may differ); `split_at(i)` must partition the work so that
+/// `split_at(i)` must partition the work so that
 /// `head.into_seq().chain(tail.into_seq())` yields exactly what `self.into_seq()`
 /// would have — that invariant is what makes parallel `collect` order-preserving.
 pub trait Producer: Sized + Send {
@@ -26,8 +26,7 @@ pub trait Producer: Sized + Send {
     /// Sequential iterator over one piece.
     type SeqIter: Iterator<Item = Self::Item>;
 
-    /// Number of splittable work units left (exact for indexed sources; an upper
-    /// bound on produced items for `filter`/`flat_map_iter`).
+    /// Number of splittable work units (= produced items) left.
     fn len(&self) -> usize;
 
     /// True if no work units remain.
@@ -41,28 +40,6 @@ pub trait Producer: Sized + Send {
     /// Drains this piece sequentially, in index order.
     fn into_seq(self) -> Self::SeqIter;
 }
-
-/// Marker for producers whose `len` is the *exact* produced item count and whose
-/// item positions are knowable per piece — mirrors rayon's `IndexedParallelIterator`.
-/// `filter`/`flat_map_iter` lose it, which (as in upstream rayon) makes
-/// `enumerate`/`zip` after them a compile error rather than a silent renumbering.
-pub trait IndexedProducer: Producer {}
-
-impl<T: Sync> IndexedProducer for SliceProducer<'_, T> {}
-impl<T: Send> IndexedProducer for SliceMutProducer<'_, T> {}
-impl<T: Send> IndexedProducer for ChunksMutProducer<'_, T> {}
-impl<T: Send> IndexedProducer for VecProducer<T> {}
-impl IndexedProducer for RangeProducer<u64> {}
-impl IndexedProducer for RangeProducer<usize> {}
-impl<P, F, R> IndexedProducer for MapProducer<P, F>
-where
-    P: IndexedProducer,
-    F: Fn(P::Item) -> R + Send + Sync,
-    R: Send,
-{
-}
-impl<A: IndexedProducer, B: IndexedProducer> IndexedProducer for ZipProducer<A, B> {}
-impl<P: IndexedProducer> IndexedProducer for EnumerateProducer<P> {}
 
 /// Carves `producer` into `pieces` contiguous, near-equal parts (sizes differ by at
 /// most one), preserving index order.
@@ -291,137 +268,6 @@ where
     }
 }
 
-/// `filter` combinator. Work units count *base* items; produced items may be fewer,
-/// which the drivers handle by concatenating variable-size piece results in order.
-pub struct FilterProducer<P, F> {
-    pub(crate) base: P,
-    pub(crate) f: Arc<F>,
-}
-
-impl<P, F> Producer for FilterProducer<P, F>
-where
-    P: Producer,
-    F: Fn(&P::Item) -> bool + Send + Sync,
-{
-    type Item = P::Item;
-    type SeqIter = FilterSeqIter<P::SeqIter, F>;
-
-    fn len(&self) -> usize {
-        self.base.len()
-    }
-
-    fn split_at(self, index: usize) -> (Self, Self) {
-        let (head, tail) = self.base.split_at(index);
-        (
-            Self {
-                base: head,
-                f: Arc::clone(&self.f),
-            },
-            Self {
-                base: tail,
-                f: self.f,
-            },
-        )
-    }
-
-    fn into_seq(self) -> Self::SeqIter {
-        FilterSeqIter {
-            inner: self.base.into_seq(),
-            f: self.f,
-        }
-    }
-}
-
-/// Sequential side of [`FilterProducer`].
-pub struct FilterSeqIter<I, F> {
-    inner: I,
-    f: Arc<F>,
-}
-
-impl<I, F> Iterator for FilterSeqIter<I, F>
-where
-    I: Iterator,
-    F: Fn(&I::Item) -> bool,
-{
-    type Item = I::Item;
-
-    fn next(&mut self) -> Option<I::Item> {
-        self.inner.by_ref().find(|item| (self.f)(item))
-    }
-}
-
-/// `flat_map_iter` combinator; splits on base items, expands sequentially per piece.
-pub struct FlatMapProducer<P, F> {
-    pub(crate) base: P,
-    pub(crate) f: Arc<F>,
-}
-
-impl<P, F, J> Producer for FlatMapProducer<P, F>
-where
-    P: Producer,
-    F: Fn(P::Item) -> J + Send + Sync,
-    J: IntoIterator,
-    J::Item: Send,
-{
-    type Item = J::Item;
-    type SeqIter = FlatMapSeqIter<P::SeqIter, J, F>;
-
-    fn len(&self) -> usize {
-        self.base.len()
-    }
-
-    fn split_at(self, index: usize) -> (Self, Self) {
-        let (head, tail) = self.base.split_at(index);
-        (
-            Self {
-                base: head,
-                f: Arc::clone(&self.f),
-            },
-            Self {
-                base: tail,
-                f: self.f,
-            },
-        )
-    }
-
-    fn into_seq(self) -> Self::SeqIter {
-        FlatMapSeqIter {
-            inner: self.base.into_seq(),
-            f: self.f,
-            current: None,
-        }
-    }
-}
-
-/// Sequential side of [`FlatMapProducer`].
-pub struct FlatMapSeqIter<I, J: IntoIterator, F> {
-    inner: I,
-    f: Arc<F>,
-    current: Option<J::IntoIter>,
-}
-
-impl<I, J, F> Iterator for FlatMapSeqIter<I, J, F>
-where
-    I: Iterator,
-    J: IntoIterator,
-    F: Fn(I::Item) -> J,
-{
-    type Item = J::Item;
-
-    fn next(&mut self) -> Option<J::Item> {
-        loop {
-            if let Some(iter) = self.current.as_mut() {
-                if let Some(item) = iter.next() {
-                    return Some(item);
-                }
-                self.current = None;
-            }
-            let base = self.inner.next()?;
-            self.current = Some((self.f)(base).into_iter());
-        }
-    }
-}
-
 /// `zip` combinator; both sides split at the same index, so zipped pairs are
 /// identical to the sequential pairing regardless of piece boundaries.
 pub struct ZipProducer<A, B> {
@@ -454,58 +300,5 @@ impl<A: Producer, B: Producer> Producer for ZipProducer<A, B> {
 
     fn into_seq(self) -> Self::SeqIter {
         self.a.into_seq().zip(self.b.into_seq())
-    }
-}
-
-/// `enumerate` combinator; each split carries its global base index forward.
-pub struct EnumerateProducer<P> {
-    pub(crate) base: P,
-    pub(crate) offset: usize,
-}
-
-impl<P: Producer> Producer for EnumerateProducer<P> {
-    type Item = (usize, P::Item);
-    type SeqIter = EnumerateSeqIter<P::SeqIter>;
-
-    fn len(&self) -> usize {
-        self.base.len()
-    }
-
-    fn split_at(self, index: usize) -> (Self, Self) {
-        let (head, tail) = self.base.split_at(index);
-        (
-            Self {
-                base: head,
-                offset: self.offset,
-            },
-            Self {
-                base: tail,
-                offset: self.offset + index,
-            },
-        )
-    }
-
-    fn into_seq(self) -> Self::SeqIter {
-        EnumerateSeqIter {
-            inner: self.base.into_seq(),
-            next_index: self.offset,
-        }
-    }
-}
-
-/// Sequential side of [`EnumerateProducer`].
-pub struct EnumerateSeqIter<I> {
-    inner: I,
-    next_index: usize,
-}
-
-impl<I: Iterator> Iterator for EnumerateSeqIter<I> {
-    type Item = (usize, I::Item);
-
-    fn next(&mut self) -> Option<(usize, I::Item)> {
-        let item = self.inner.next()?;
-        let index = self.next_index;
-        self.next_index += 1;
-        Some((index, item))
     }
 }
