@@ -16,10 +16,11 @@
 //! * [`Simulation`] — executes rounds: every alive ball picks destination servers
 //!   uniformly at random from its owner's neighbourhood (symmetric, non-adaptive),
 //!   servers apply the protocol's threshold rule, and accepted balls settle. The
-//!   *inside* of a round is parallelised end to end: every phase splits into
-//!   contiguous pieces (request ranges, server ranges, ball-slot ranges) whose
-//!   boundaries depend on problem sizes only — never the thread count — and whose
-//!   results merge in piece-index order, so one simulation with millions of balls
+//!   *inside* of a round is parallelised end to end: every phase is one chunked
+//!   drive (zipped `par_chunks_mut` / `par_iter_mut` iterators) over contiguous
+//!   chunks (request ranges, server ranges, ball-slot ranges) whose boundaries
+//!   depend on problem sizes only — never the thread count — and whose results
+//!   merge in chunk-index order, so one simulation with millions of balls
 //!   scales across cores with bit-identical results at every thread count. All
 //!   randomness is derived from per-(ball, round) streams, making the work order
 //!   irrelevant. Construction goes through the fluent [`Simulation::builder`].
@@ -27,13 +28,13 @@
 //!   The round loop is **allocation-free after construction**: all per-round scratch
 //!   (the flat slot-major request buffer phase 1 writes picks into, the rank buffers
 //!   of the three-pass `O(R + P·S)` parallel counting sort that groups requests
-//!   server-major for phase 2, the per-server accept counts, the per-piece settle
+//!   server-major for phase 2, the per-server accept counts, the per-chunk settle
 //!   scratch, the closed census and the double-buffered alive-ball list) lives in a
 //!   `RoundBuffers` struct owned by the simulation and sized once at build time —
-//!   piece descriptors live on the stack. Building makes a number of allocations
-//!   that does not grow with the server count: the per-server protocol state is one
-//!   dense `Vec<u64>`. See the `simulation` module docs and the counting-allocator
-//!   harness in `tests/alloc_free.rs`.
+//!   the per-chunk tallies live in fixed-size stack arrays. Building makes a number
+//!   of allocations that does not grow with the server count: the per-server
+//!   protocol state is one dense `Vec<u64>`. See the `simulation` module docs and
+//!   the counting-allocator harness in `tests/alloc_free.rs`.
 //! * [`observe`] — round observers that record the quantities the paper's analysis
 //!   tracks: the burned/saturated fraction `S_t`, the per-neighbourhood request mass
 //!   `r_t(N(v))`, alive balls, loads and work. Observers are borrowed per run

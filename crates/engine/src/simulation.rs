@@ -1,30 +1,32 @@
 //! The synchronous round executor and its fluent builder.
 //!
-//! # Hot-loop design: `RoundBuffers` + intra-round pieces
+//! # Hot-loop design: `RoundBuffers` + chunked drives
 //!
 //! A round is executed entirely inside scratch space that is sized once at build time
 //! and reused for the whole run ([`RoundBuffers`], owned by [`Simulation`]): the flat
 //! slot-major request buffer phase 1 writes into, the per-request rank buffer the
 //! three-pass counting sort produces, the per-server request counts, accept counts and
-//! closed census the observers read, the per-piece settle scratch, and the
+//! closed census the observers read, the per-chunk settle scratch, and the
 //! double-buffered alive-ball list. After the buffers are warm (i.e. after
 //! construction), [`Simulation::step`] performs **no heap allocation** — pinned by the
 //! counting-allocator harness in `crates/engine/tests/alloc_free.rs`.
 //!
-//! Every phase of a round is split into contiguous **pieces** (request ranges, server
-//! ranges, ball-slot ranges) that run in parallel and merge in piece-index order, so a
-//! single simulation scales across cores while staying bit-identical at every thread
-//! count. The piece plan ([`PiecePlan`]) is derived from problem sizes alone — never
-//! from the thread count — so the plan (and therefore every intermediate) is a pure
-//! function of `(graph, protocol, seed)`.
+//! Every phase of a round is one parallel drive: zipped `par_chunks_mut` /
+//! `par_iter_mut` iterators over contiguous **chunks** (request ranges, server
+//! ranges, ball-slot ranges) whose results merge in chunk-index order, so a single
+//! simulation scales across cores while staying bit-identical at every thread count.
+//! A phase planned for `p` pieces over `len` items uses chunks of
+//! `len.div_ceil(p)` items. The piece plan ([`PiecePlan`]) is derived from problem
+//! sizes alone — never from the thread count — so the chunks (and therefore every
+//! intermediate) are a pure function of `(graph, protocol, seed)`.
 //!
 //! Server-major grouping is rank-based rather than materialized: a three-pass
 //! `O(R + P·S)` computation assigns each request its rank within its destination
 //! server's segment (ascending request index within a server — the same canonical
 //! order the former explicit counting-sort permutation produced), and phase 3 tests
 //! `rank < accept_count[server]` instead of reading a permuted index array. Every
-//! parallel write lands in a disjoint carved sub-slice, which is why the whole engine
-//! stays `#![forbid(unsafe_code)]`.
+//! parallel write lands in a chunk the drive hands to exactly one task, which is why
+//! the whole engine stays `#![forbid(unsafe_code)]`.
 
 use crate::{
     config::SimConfig,
@@ -38,14 +40,18 @@ use clb_rng::domains::PROTOCOL_DOMAIN;
 use clb_rng::{RandomSource, StreamFactory};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::ops::Range;
 
 /// Sentinel for "ball not yet assigned to any server".
 const UNASSIGNED: u32 = u32::MAX;
 
-/// Upper bound on the number of pieces any phase is split into. Piece descriptor
-/// arrays live on the stack (`[Option<_>; MAX_INTRA_PIECES]`), so `step()` stays
-/// allocation-free no matter the plan.
+/// Phase 3 overwrites the rank of a surplus accept with this sentinel, marking its
+/// server's load for release after the join. No real rank reaches it: a rank is
+/// below the round's request count, which is at most `u32::MAX`.
+const RELEASED: u32 = u32::MAX;
+
+/// Upper bound on the number of pieces any phase is split into. Per-chunk tallies
+/// live in stack arrays of this length, so `step()` stays allocation-free no matter
+/// the plan.
 const MAX_INTRA_PIECES: usize = 32;
 
 /// Minimum requests per sort piece; below this the histogram passes run serially.
@@ -57,12 +63,15 @@ const MIN_SERVER_PIECE: usize = 1 << 12;
 /// Minimum ball slots per phase-3 piece.
 const MIN_SLOT_PIECE: usize = 1 << 14;
 
-/// The `k`-th of `pieces` contiguous ranges tiling `0..len` (balanced to within one).
+/// Cuts `len` items into chunks of `len.div_ceil(pieces)` items: returns the chunk
+/// length and the actual chunk count, which can fall below `pieces` (203 items in 31
+/// pieces give 29 chunks of 7).
 ///
-/// Ranges are exactly adjacent (`range(k).end == range(k + 1).start`), which the
-/// carving loops below rely on to split buffers without gaps.
-fn piece_range(len: usize, pieces: usize, k: usize) -> Range<usize> {
-    (k * len / pieces)..((k + 1) * len / pieces)
+/// Chunk `k` covers `k * chunk..min((k + 1) * chunk, len)`: a pure function of sizes,
+/// so every thread count sees the same chunks.
+fn chunking(len: usize, pieces: usize) -> (usize, usize) {
+    let chunk = len.div_ceil(pieces).max(1);
+    (chunk, len.div_ceil(chunk))
 }
 
 /// How many pieces each phase of a round is split into.
@@ -141,7 +150,8 @@ struct RoundBuffers {
     /// Rank of each request within its destination server's segment, counting requests
     /// in ascending request-index order — the position the former explicit counting
     /// sort would have scattered it to, minus the segment base. A request is accepted
-    /// iff `request_rank < accept_count[server]`.
+    /// iff `request_rank < accept_count[server]`; phase 3 overwrites the rank of a
+    /// surplus accept with [`RELEASED`].
     request_rank: Vec<u32>,
     /// Requests each server received this round (read by observers via [`RoundView`]).
     requests_per_server: Vec<u32>,
@@ -153,21 +163,18 @@ struct RoundBuffers {
     closed: Vec<bool>,
     /// Double-buffer swapped with `Simulation::alive_balls` at the end of phase 3.
     alive_next: Vec<u32>,
-    /// Per-piece survivor lists (phase 3), concatenated into `alive_next` in
-    /// piece-index order after the join.
+    /// Per-chunk survivor lists (phase 3), concatenated into `alive_next` in
+    /// chunk-index order after the join.
     alive_scratch: Vec<u32>,
-    /// Per-piece settled balls (phase 3), packed `(ball << 32) | server`, applied to
+    /// Per-chunk settled balls (phase 3), packed `(ball << 32) | server`, applied to
     /// `ball_assigned` after the join.
     assigned_scratch: Vec<u64>,
-    /// Per-piece released-server lists (phase 3); empty when `choices == 1`, which
-    /// can never produce surplus accepts.
-    release_scratch: Vec<u32>,
-    /// Per-piece server histograms for the parallel sort, piece-major
+    /// Per-chunk server histograms for the parallel sort, chunk-major
     /// (`piece_hist[k * S + s]`). Empty when `plan.sort == 1`.
     piece_hist: Vec<u32>,
-    /// Exclusive prefix offsets for the parallel sort, server-major
-    /// (`piece_off[s * plan.sort + k]` = requests for server `s` in pieces `< k`).
-    /// Empty when `plan.sort == 1`.
+    /// Exclusive prefix offsets for the parallel sort, server-major over the round's
+    /// `P` sort chunks (`piece_off[s * P + k]` = requests for server `s` in chunks
+    /// `< k`). Empty when `plan.sort == 1`.
     piece_off: Vec<u32>,
     /// The piece plan, fixed at build time.
     plan: PiecePlan,
@@ -185,11 +192,6 @@ impl RoundBuffers {
             alive_next: Vec::with_capacity(total_balls),
             alive_scratch: vec![0; total_balls],
             assigned_scratch: vec![0; total_balls],
-            release_scratch: if choices > 1 {
-                vec![0; request_capacity]
-            } else {
-                Vec::new()
-            },
             piece_hist: if plan.sort > 1 {
                 vec![0; plan.sort * num_servers]
             } else {
@@ -284,14 +286,14 @@ impl RunResult {
 // ---------------------------------------------------------------------------
 // The three-pass parallel counting sort (rank form).
 //
-// Pass A (per request piece): count requests per server into the piece's own
-// histogram row and record each request's rank *within its piece*.
-// Pass B (per server range): turn the piece-major histogram matrix into server-major
+// Pass A (per request chunk): count requests per server into the chunk's own
+// histogram row and record each request's rank *within its chunk*.
+// Pass B (per server chunk): turn the chunk-major histogram matrix into server-major
 // exclusive prefix offsets and per-server totals.
-// Pass C (per request piece): rebase each piece-local rank by its piece's offset for
+// Pass C (per request chunk): rebase each chunk-local rank by its chunk's offset for
 // the request's server, yielding the global within-segment rank.
 //
-// Ranks count requests in (piece index, within-piece index) order = ascending global
+// Ranks count requests in (chunk index, within-chunk index) order = ascending global
 // request index, so `segment_base[s] + rank` reproduces the former stable counting
 // sort's scatter positions exactly (`parallel_rank_sort_matches_serial_permutation`
 // pins this against the reference permutation).
@@ -308,8 +310,8 @@ fn sort_pass_histogram(request_server: &[u32], rank: &mut [u32], hist_row: &mut 
     }
 }
 
-/// Pass B over one server range: exclusive prefix over pieces per server, plus the
-/// per-server totals phase 2 and the observers read.
+/// Pass B over one server range: exclusive prefix over request chunks per server,
+/// plus the per-server totals phase 2 and the observers read.
 fn sort_pass_combine(
     hist: &[u32],
     num_servers: usize,
@@ -317,79 +319,37 @@ fn sort_pass_combine(
     off: &mut [u32],
     totals: &mut [u32],
 ) {
-    let pieces = hist.len() / num_servers;
+    let chunks = hist.len() / num_servers;
     for (i, total) in totals.iter_mut().enumerate() {
         let server = server_lo + i;
         let mut acc = 0u32;
-        for k in 0..pieces {
-            off[i * pieces + k] = acc;
+        for k in 0..chunks {
+            off[i * chunks + k] = acc;
             acc += hist[k * num_servers + server];
         }
         *total = acc;
     }
 }
 
-/// Pass C over one request range: piece-local rank → global within-segment rank.
+/// Pass C over request chunk `chunk` of `chunks`: chunk-local rank → global
+/// within-segment rank.
 fn sort_pass_rebase(
     request_server: &[u32],
     rank: &mut [u32],
     off: &[u32],
-    piece: usize,
-    pieces: usize,
+    chunk: usize,
+    chunks: usize,
 ) {
     for (rank_slot, &server) in rank.iter_mut().zip(request_server) {
-        *rank_slot += off[server as usize * pieces + piece];
+        *rank_slot += off[server as usize * chunks + chunk];
     }
 }
 
 // ---------------------------------------------------------------------------
-// Piece descriptors. Each phase carves its buffers into disjoint sub-slices held by
-// stack-allocated descriptors, then `drive_pieces` runs them in parallel; merges
-// afterwards walk the descriptors in piece-index order. All borrows are plain safe
-// `split_at_mut` carving — no unsafe, no overlapping writes.
+// Phase 3 (ball settling): the per-chunk body of the settle drive in `step()`.
 // ---------------------------------------------------------------------------
 
-/// Runs every populated piece descriptor, in parallel when the pool allows it. The
-/// merge discipline is the caller's: walk `pieces` in index order afterwards.
-fn drive_pieces<D: Send, F: Fn(&mut D) + Send + Sync>(pieces: &mut [Option<D>], task: F) {
-    pieces.par_iter_mut().for_each(|slot| {
-        if let Some(piece) = slot.as_mut() {
-            task(piece);
-        }
-    });
-}
-
-/// Pass-A piece: one contiguous request range plus its own histogram row.
-struct HistPiece<'a> {
-    req: &'a [u32],
-    rank: &'a mut [u32],
-    row: &'a mut [u32],
-}
-
-/// Pass-B piece: one contiguous server range of the offset matrix and totals.
-struct CombinePiece<'a> {
-    server_lo: usize,
-    off: &'a mut [u32],
-    totals: &'a mut [u32],
-}
-
-/// Pass-C piece: one contiguous request range, rebased in place.
-struct RebasePiece<'a> {
-    piece: usize,
-    req: &'a [u32],
-    rank: &'a mut [u32],
-}
-
-/// Phase-2 piece: one contiguous server range (states, loads, accept counts).
-struct DecidePiece<'a> {
-    server_lo: usize,
-    states: &'a mut [u64],
-    loads: &'a mut [u32],
-    incoming: &'a [u32],
-    accept: &'a mut [u32],
-}
-
-/// Phase-3 per-piece output tallies.
+/// Phase-3 per-chunk output tallies.
 #[derive(Debug, Clone, Copy, Default)]
 struct SettleCounts {
     alive: u32,
@@ -397,55 +357,58 @@ struct SettleCounts {
     released: u32,
 }
 
-/// Phase-3 piece: one contiguous ball-slot range writing into carved scratch.
-struct SettlePiece<'a> {
-    slot_lo: usize,
-    slots: &'a [u32],
-    alive_out: &'a mut [u32],
-    assigned_out: &'a mut [u64],
-    release_out: &'a mut [u32],
-    counts: SettleCounts,
+/// The read-only round state every phase-3 chunk shares.
+struct SettleRound<'a> {
+    choices: usize,
+    rule: SettleRule,
+    request_server: &'a [u32],
+    accept_count: &'a [u32],
+    loads: &'a [u32],
 }
 
-impl SettlePiece<'_> {
-    /// Settles every ball in this piece's slot range; surplus accepts are recorded for
-    /// the post-join load release, survivors go to `alive_out` in slot order.
+impl SettleRound<'_> {
+    /// Settles the balls `slots` occupying ball slots `slot_lo..`; `rank` is the chunk
+    /// of `request_rank` holding exactly those balls' requests. Survivors go to
+    /// `alive_out` and settled balls to `assigned_out`, both in slot order; surplus
+    /// accepts are marked [`RELEASED`] in `rank` for the post-join load release.
     ///
     /// Under [`SettleRule::FirstAccepted`] the first accepted choice wins
     /// (`rank < accept_count`). Under [`SettleRule::LeastLoaded`] the accepted choice
     /// with the smallest `(post-decision load, server index)` wins; `loads` is the
-    /// phase-2 output snapshot, identical for every piece, so the pick is a pure
-    /// function of the round's decisions — never of piece or thread scheduling.
-    fn run(
-        &mut self,
-        choices: usize,
-        rule: SettleRule,
-        request_server: &[u32],
-        request_rank: &[u32],
-        accept_count: &[u32],
-        loads: &[u32],
-    ) {
-        let mut alive = 0usize;
-        let mut assigned = 0usize;
-        let mut released = 0usize;
-        for (i, &ball) in self.slots.iter().enumerate() {
-            let base = (self.slot_lo + i) * choices;
+    /// phase-2 output snapshot, identical for every chunk, so the pick is a pure
+    /// function of the round's decisions — never of chunk or thread scheduling.
+    fn chunk(
+        &self,
+        slot_lo: usize,
+        slots: &[u32],
+        rank: &mut [u32],
+        alive_out: &mut [u32],
+        assigned_out: &mut [u64],
+    ) -> SettleCounts {
+        let choices = self.choices;
+        let request_base = slot_lo * choices;
+        let request_server = &self.request_server[request_base..request_base + rank.len()];
+        let accepted =
+            |idx: usize, rank: &[u32]| rank[idx] < self.accept_count[request_server[idx] as usize];
+        let mut counts = SettleCounts::default();
+        for (i, &ball) in slots.iter().enumerate() {
+            let base = i * choices;
             // Pick the winning accepted request, if any. `accept_count[server]` is
             // fresh for every request's server: that server received at least one
             // request this round (this one), so phase 2 visited it.
             let mut winner: Option<usize> = None;
             for idx in base..base + choices {
-                let server = request_server[idx];
-                if request_rank[idx] >= accept_count[server as usize] {
+                if !accepted(idx, rank) {
                     continue;
                 }
-                winner = Some(match (winner, rule) {
+                winner = Some(match (winner, self.rule) {
                     (None, _) => idx,
                     (Some(best), SettleRule::FirstAccepted) => best,
                     (Some(best), SettleRule::LeastLoaded) => {
+                        let server = request_server[idx];
                         let best_server = request_server[best];
-                        let key = (loads[server as usize], server);
-                        if key < (loads[best_server as usize], best_server) {
+                        let key = (self.loads[server as usize], server);
+                        if key < (self.loads[best_server as usize], best_server) {
                             idx
                         } else {
                             best
@@ -457,38 +420,22 @@ impl SettlePiece<'_> {
             // server bumped its load for it in phase 2, so it must be released.
             if let Some(winner) = winner {
                 for idx in base..base + choices {
-                    if idx == winner {
-                        continue;
-                    }
-                    let server = request_server[idx];
-                    if request_rank[idx] < accept_count[server as usize] {
-                        self.release_out[released] = server;
-                        released += 1;
+                    if idx != winner && accepted(idx, rank) {
+                        rank[idx] = RELEASED;
+                        counts.released += 1;
                     }
                 }
                 let server = request_server[winner];
-                self.assigned_out[assigned] = (u64::from(ball) << 32) | u64::from(server);
-                assigned += 1;
+                assigned_out[counts.assigned as usize] =
+                    (u64::from(ball) << 32) | u64::from(server);
+                counts.assigned += 1;
             } else {
-                self.alive_out[alive] = ball;
-                alive += 1;
+                alive_out[counts.alive as usize] = ball;
+                counts.alive += 1;
             }
         }
-        self.counts = SettleCounts {
-            alive: alive as u32,
-            assigned: assigned as u32,
-            released: released as u32,
-        };
+        counts
     }
-}
-
-/// Census piece: one contiguous server range folding closed flags and max load.
-struct CensusPiece<'a> {
-    states: &'a [u64],
-    loads: &'a [u32],
-    closed: &'a mut [bool],
-    closed_count: u64,
-    max_load: u32,
 }
 
 /// Fluent constructor for [`Simulation`], obtained from [`Simulation::builder`].
@@ -595,8 +542,9 @@ impl<'g> SimulationBuilder<'g> {
     /// Panics if no protocol was set, if a client with a non-empty demand has an empty
     /// neighbourhood (its balls could never be placed, so the run would trivially never
     /// complete), if the demand is inconsistent with the graph (see
-    /// [`Demand::materialize`]), or if the system is vacuous — zero demand and no
-    /// online workload supplying arrivals.
+    /// [`Demand::materialize`]), if the demand totals more than `2^32 - 1` balls (the
+    /// ball-id limit), or if the system is vacuous — zero demand and no online
+    /// workload supplying arrivals.
     pub fn build(self) -> Simulation<'g> {
         let protocol = self
             .protocol
@@ -615,7 +563,12 @@ impl<'g> SimulationBuilder<'g> {
                     "client {c} has {balls} balls but no admissible server"
                 );
             }
-            acc += balls;
+            acc = acc.checked_add(balls).unwrap_or_else(|| {
+                panic!(
+                    "demand overflows the engine's 2^32 - 1 ball-id limit: \
+                     {acc} balls before client {c}, which adds {balls}"
+                )
+            });
             ball_offsets.push(acc);
         }
         let initial_balls = acc as usize;
@@ -731,7 +684,7 @@ struct OnlineState {
     settle_round: Vec<u32>,
     /// `depart_calendar[t]` holds one entry per ball departing at the start of round
     /// `t` — the server it releases. Load decrements commute, so the push order
-    /// (piece-index order within a round) never matters.
+    /// (chunk-index order within a round) never matters.
     depart_calendar: Vec<Vec<u32>>,
 }
 
@@ -914,8 +867,8 @@ impl<'g> Simulation<'g> {
     }
 
     /// Executes one round and returns its summary record: phase 1 (clients submit),
-    /// phase 2 (servers decide), phase 3 (balls settle), census. Every phase runs over
-    /// contiguous pieces per the build-time piece plan and merges in piece-index
+    /// phase 2 (servers decide), phase 3 (balls settle), census. Every phase drives
+    /// contiguous chunks sized by the build-time piece plan and merges in chunk-index
     /// order; nothing is allocated on the way.
     pub fn step(&mut self) -> RoundRecord {
         self.round += 1;
@@ -925,7 +878,7 @@ impl<'g> Simulation<'g> {
         // of the round is routed. Each departure frees one slot of its server's load
         // (decrements commute, so the calendar order is irrelevant); arrivals append
         // to the alive list in ascending ball-id order. Both are pure functions of the
-        // schedule, so the prologue is trivially thread- and piece-independent.
+        // schedule, so the prologue is trivially thread- and chunk-independent.
         let mut departures = 0u64;
         let mut arrivals = 0u64;
         if let Some(online) = self.online.as_mut() {
@@ -968,7 +921,6 @@ impl<'g> Simulation<'g> {
             alive_next,
             alive_scratch,
             assigned_scratch,
-            release_scratch,
             piece_hist,
             piece_off,
             plan,
@@ -1003,318 +955,232 @@ impl<'g> Simulation<'g> {
         // position of request `j` within its server's segment, counting in ascending
         // request index — the order the former explicit counting sort produced. The
         // rank buffer is sliced, never zeroed: pass A writes every slot in the slice.
-        if plan.sort == 1 {
-            // Fused serial sort: one pass fills both ranks and per-server totals.
+        let req_all: &[u32] = &request_server[..total_requests];
+        let (sort_len, sort_chunks) = chunking(total_requests, plan.sort);
+        let (server_len, server_chunks) = chunking(num_servers, plan.server);
+        if sort_chunks <= 1 {
+            // Fused serial sort: one pass fills both ranks and per-server totals. A
+            // round with a single chunk, or none (an online round with no alive
+            // balls), always takes this path.
             sort_pass_histogram(
-                &request_server[..total_requests],
+                req_all,
                 &mut request_rank[..total_requests],
                 requests_per_server,
             );
         } else {
-            let pieces = plan.sort;
-            // Pass A — per-piece histograms + piece-local ranks, carved by request range.
-            {
-                let req_all: &[u32] = &request_server[..total_requests];
-                let mut descs: [Option<HistPiece>; MAX_INTRA_PIECES] =
-                    std::array::from_fn(|_| None);
-                let mut rank_rest: &mut [u32] = &mut request_rank[..total_requests];
-                let mut hist_rest: &mut [u32] = piece_hist;
-                let mut consumed = 0;
-                for (k, slot) in descs[..pieces].iter_mut().enumerate() {
-                    let hi = piece_range(total_requests, pieces, k).end;
-                    let (rank, rest) = std::mem::take(&mut rank_rest).split_at_mut(hi - consumed);
-                    rank_rest = rest;
-                    let (row, rest) = std::mem::take(&mut hist_rest).split_at_mut(num_servers);
-                    hist_rest = rest;
-                    *slot = Some(HistPiece {
-                        req: &req_all[consumed..hi],
-                        rank,
-                        row,
-                    });
-                    consumed = hi;
-                }
-                drive_pieces(&mut descs[..pieces], |p| {
-                    sort_pass_histogram(p.req, p.rank, p.row)
+            // Only the first `sort_chunks` histogram rows are written this round, and
+            // passes B and C stride the offset matrix by that count, not `plan.sort`.
+            let hist = &mut piece_hist[..sort_chunks * num_servers];
+            let off = &mut piece_off[..sort_chunks * num_servers];
+            // Pass A — per-chunk histograms + chunk-local ranks, one row per chunk.
+            (0..sort_chunks)
+                .into_par_iter()
+                .zip(request_rank[..total_requests].par_chunks_mut(sort_len))
+                .zip(hist.par_chunks_mut(num_servers))
+                .for_each(|((k, rank), row)| {
+                    let lo = k * sort_len;
+                    sort_pass_histogram(&req_all[lo..lo + rank.len()], rank, row)
                 });
-            }
-            // Pass B — exclusive prefix across pieces, carved by server range.
-            {
-                let hist: &[u32] = piece_hist;
-                let combine_pieces = plan.server;
-                let mut descs: [Option<CombinePiece>; MAX_INTRA_PIECES] =
-                    std::array::from_fn(|_| None);
-                let mut off_rest: &mut [u32] = piece_off;
-                let mut totals_rest: &mut [u32] = requests_per_server;
-                let mut consumed = 0;
-                for (k, slot) in descs[..combine_pieces].iter_mut().enumerate() {
-                    let hi = piece_range(num_servers, combine_pieces, k).end;
-                    let take = hi - consumed;
-                    let (off, rest) = std::mem::take(&mut off_rest).split_at_mut(take * pieces);
-                    off_rest = rest;
-                    let (totals, rest) = std::mem::take(&mut totals_rest).split_at_mut(take);
-                    totals_rest = rest;
-                    *slot = Some(CombinePiece {
-                        server_lo: consumed,
-                        off,
-                        totals,
-                    });
-                    consumed = hi;
-                }
-                drive_pieces(&mut descs[..combine_pieces], |p| {
-                    sort_pass_combine(hist, num_servers, p.server_lo, p.off, p.totals)
+            // Pass B — exclusive prefix across chunks, over server chunks.
+            let hist: &[u32] = hist;
+            (0..server_chunks)
+                .into_par_iter()
+                .zip(off.par_chunks_mut(server_len * sort_chunks))
+                .zip(requests_per_server.par_chunks_mut(server_len))
+                .for_each(|((k, off), totals)| {
+                    sort_pass_combine(hist, num_servers, k * server_len, off, totals)
                 });
-            }
-            // Pass C — rebase piece-local ranks to global within-segment ranks.
-            {
-                let req_all: &[u32] = &request_server[..total_requests];
-                let off: &[u32] = piece_off;
-                let mut descs: [Option<RebasePiece>; MAX_INTRA_PIECES] =
-                    std::array::from_fn(|_| None);
-                let mut rank_rest: &mut [u32] = &mut request_rank[..total_requests];
-                let mut consumed = 0;
-                for (k, slot) in descs[..pieces].iter_mut().enumerate() {
-                    let hi = piece_range(total_requests, pieces, k).end;
-                    let (rank, rest) = std::mem::take(&mut rank_rest).split_at_mut(hi - consumed);
-                    rank_rest = rest;
-                    *slot = Some(RebasePiece {
-                        piece: k,
-                        req: &req_all[consumed..hi],
-                        rank,
-                    });
-                    consumed = hi;
-                }
-                drive_pieces(&mut descs[..pieces], |p| {
-                    sort_pass_rebase(p.req, p.rank, off, p.piece, pieces)
+            // Pass C — rebase chunk-local ranks to global within-segment ranks.
+            let off: &[u32] = off;
+            (0..sort_chunks)
+                .into_par_iter()
+                .zip(request_rank[..total_requests].par_chunks_mut(sort_len))
+                .for_each(|(k, rank)| {
+                    let lo = k * sort_len;
+                    sort_pass_rebase(&req_all[lo..lo + rank.len()], rank, off, k, sort_chunks)
                 });
-            }
         }
 
-        // Phase 2 — per-server threshold decisions over carved server ranges. Each
-        // server's decision touches only its own state, load and accept count, so the
-        // pieces are disjoint; within a piece servers run in ascending order, the same
-        // order the serial loop used.
+        // Phase 2 — per-server threshold decisions over server chunks. Each server's
+        // decision touches only its own state, load and accept count, so the chunks
+        // are disjoint; within a chunk servers run in ascending order, the same order
+        // the serial loop used.
         //
         // Covering invariant for `accept_count`: entries for servers with zero
         // incoming requests stay stale, and phase 3 only reads `accept_count[s]` for
         // `s = request_server[idx]` — a server that received at least one request.
         {
-            let server_pieces = plan.server;
             let incoming_all: &[u32] = requests_per_server;
-            let mut descs: [Option<DecidePiece>; MAX_INTRA_PIECES] = std::array::from_fn(|_| None);
-            let mut states_rest: &mut [u64] = &mut self.server_states;
-            let mut loads_rest: &mut [u32] = &mut self.server_load;
-            let mut accept_rest: &mut [u32] = accept_count;
-            let mut consumed = 0;
-            for (k, slot) in descs[..server_pieces].iter_mut().enumerate() {
-                let hi = piece_range(num_servers, server_pieces, k).end;
-                let take = hi - consumed;
-                let (states, rest) = std::mem::take(&mut states_rest).split_at_mut(take);
-                states_rest = rest;
-                let (loads, rest) = std::mem::take(&mut loads_rest).split_at_mut(take);
-                loads_rest = rest;
-                let (accept, rest) = std::mem::take(&mut accept_rest).split_at_mut(take);
-                accept_rest = rest;
-                *slot = Some(DecidePiece {
-                    server_lo: consumed,
-                    states,
-                    loads,
-                    incoming: &incoming_all[consumed..hi],
-                    accept,
-                });
-                consumed = hi;
-            }
             let protocol = &*self.protocol;
-            drive_pieces(&mut descs[..server_pieces], |p| {
-                for i in 0..p.incoming.len() {
-                    let incoming = p.incoming[i];
-                    if incoming == 0 {
-                        continue;
+            (0..server_chunks)
+                .into_par_iter()
+                .zip(self.server_states.par_chunks_mut(server_len))
+                .zip(self.server_load.par_chunks_mut(server_len))
+                .zip(accept_count.par_chunks_mut(server_len))
+                .for_each(|(((k, states), loads), accepts)| {
+                    let lo = k * server_len;
+                    let servers = states
+                        .iter_mut()
+                        .zip(loads)
+                        .zip(accepts)
+                        .zip(&incoming_all[lo..]);
+                    for (i, (((state, load), accept), &incoming)) in servers.enumerate() {
+                        if incoming == 0 {
+                            continue;
+                        }
+                        let ctx = ServerCtx {
+                            server: (lo + i) as u32,
+                            round,
+                            current_load: *load,
+                            incoming,
+                        };
+                        *accept = protocol.server_decide(state, &ctx).min(incoming);
+                        *load += *accept;
                     }
-                    let ctx = ServerCtx {
-                        server: (p.server_lo + i) as u32,
-                        round,
-                        current_load: p.loads[i],
-                        incoming,
-                    };
-                    let accept = protocol.server_decide(&mut p.states[i], &ctx).min(incoming);
-                    p.loads[i] += accept;
-                    p.accept[i] = accept;
-                }
-            });
+                });
         }
 
-        // Phase 3 — balls settle over carved slot ranges. With a single choice per
-        // round each ball has exactly one request; with k choices a ball keeps one
-        // accepted destination (per the settle rule) and surplus accepts are
-        // *recorded* per piece, then released from their servers' loads after the
-        // join. Load decrements commute, so the piece count can never change the
-        // loads the next round observes.
-        let mut balls_assigned = 0u64;
+        // Phase 3 — balls settle over slot chunks. With a single choice per round each
+        // ball has exactly one request; with k choices a ball keeps one accepted
+        // destination (per the settle rule) and each chunk marks its balls' surplus
+        // accepts `RELEASED` in its own chunk of `request_rank`, then the marked
+        // requests are released from their servers' loads after the join. Load
+        // decrements commute, so the chunk count can never change the loads the next
+        // round observes.
+        let (slot_len, slot_chunks) = chunking(alive, plan.slot);
+        let mut counts = [SettleCounts::default(); MAX_INTRA_PIECES];
         {
-            let slot_pieces = plan.slot;
-            let slots_all: &[u32] = &self.alive_balls;
-            let req_all: &[u32] = &request_server[..total_requests];
-            let rank_all: &[u32] = &request_rank[..total_requests];
-            let accept_all: &[u32] = accept_count;
-            let mut descs: [Option<SettlePiece>; MAX_INTRA_PIECES] = std::array::from_fn(|_| None);
-            let mut alive_rest: &mut [u32] = &mut alive_scratch[..alive];
-            let mut assigned_rest: &mut [u64] = &mut assigned_scratch[..alive];
-            let mut release_rest: &mut [u32] = if per_ball > 1 {
-                &mut release_scratch[..total_requests]
-            } else {
-                &mut []
+            let settle = SettleRound {
+                choices: per_ball,
+                rule,
+                request_server: req_all,
+                accept_count,
+                // Post-decision load snapshot for the least-loaded settle rule; the
+                // same slice is visible to every chunk, so the pick is
+                // scheduling-independent.
+                loads: &self.server_load,
             };
-            let mut consumed = 0;
-            for (k, slot) in descs[..slot_pieces].iter_mut().enumerate() {
-                let hi = piece_range(alive, slot_pieces, k).end;
-                let take = hi - consumed;
-                let (alive_out, rest) = std::mem::take(&mut alive_rest).split_at_mut(take);
-                alive_rest = rest;
-                let (assigned_out, rest) = std::mem::take(&mut assigned_rest).split_at_mut(take);
-                assigned_rest = rest;
-                let release_out: &mut [u32] = if per_ball > 1 {
-                    let (r, rest) = std::mem::take(&mut release_rest).split_at_mut(take * per_ball);
-                    release_rest = rest;
-                    r
-                } else {
-                    &mut []
-                };
-                *slot = Some(SettlePiece {
-                    slot_lo: consumed,
-                    slots: &slots_all[consumed..hi],
-                    alive_out,
-                    assigned_out,
-                    release_out,
-                    counts: SettleCounts::default(),
+            let slots_all: &[u32] = &self.alive_balls;
+            (0..slot_chunks)
+                .into_par_iter()
+                .zip(request_rank[..total_requests].par_chunks_mut(slot_len * per_ball))
+                .zip(alive_scratch[..alive].par_chunks_mut(slot_len))
+                .zip(assigned_scratch[..alive].par_chunks_mut(slot_len))
+                .zip(counts.par_iter_mut())
+                .for_each(|((((k, rank), alive_out), assigned_out), counts)| {
+                    let lo = k * slot_len;
+                    *counts = settle.chunk(
+                        lo,
+                        &slots_all[lo..lo + alive_out.len()],
+                        rank,
+                        alive_out,
+                        assigned_out,
+                    );
                 });
-                consumed = hi;
-            }
-            // Post-decision load snapshot for the least-loaded settle rule; the same
-            // slice is visible to every piece, so the pick is scheduling-independent.
-            let loads_snapshot: &[u32] = &self.server_load;
-            drive_pieces(&mut descs[..slot_pieces], |p| {
-                p.run(
-                    per_ball,
-                    rule,
-                    req_all,
-                    rank_all,
-                    accept_all,
-                    loads_snapshot,
-                )
-            });
+        }
+        let counts = &counts[..slot_chunks];
 
-            // Merge in piece-index order: survivors concatenate piece-by-piece (so
-            // `alive_next` is in ascending slot order, exactly the serial order).
-            alive_next.clear();
-            for p in descs[..slot_pieces].iter().flatten() {
-                alive_next.extend_from_slice(&p.alive_out[..p.counts.alive as usize]);
-                balls_assigned += u64::from(p.counts.assigned);
-            }
+        // Merge in chunk-index order: survivors concatenate chunk by chunk (so
+        // `alive_next` is in ascending slot order, exactly the serial order).
+        alive_next.clear();
+        let mut balls_assigned = 0u64;
+        let mut released = 0u64;
+        for (survivors, c) in alive_scratch[..alive].chunks(slot_len).zip(counts) {
+            alive_next.extend_from_slice(&survivors[..c.alive as usize]);
+            balls_assigned += u64::from(c.assigned);
+            released += u64::from(c.released);
+        }
 
-            // The two remaining applications touch disjoint state (ball assignments
-            // plus online settle bookkeeping vs server loads), so they run as the two
-            // arms of a join.
-            let descs_done = &descs[..slot_pieces];
-            let ball_assigned = &mut self.ball_assigned;
-            let online = self.online.as_mut();
-            let seed = self.config.seed;
-            let max_rounds = self.config.max_rounds;
-            let server_load = &mut self.server_load;
-            rayon::join(
-                || match online {
-                    None => {
-                        for p in descs_done.iter().flatten() {
-                            for &packed in &p.assigned_out[..p.counts.assigned as usize] {
-                                ball_assigned[(packed >> 32) as usize] = packed as u32;
-                            }
-                        }
+        // The two remaining applications touch disjoint state (ball assignments plus
+        // online settle bookkeeping vs server loads), so they run as the two arms of
+        // a join.
+        let settled = || {
+            assigned_scratch[..alive]
+                .chunks(slot_len)
+                .zip(counts)
+                .flat_map(|(assigned, c)| &assigned[..c.assigned as usize])
+        };
+        let ball_assigned = &mut self.ball_assigned;
+        let online = self.online.as_mut();
+        let seed = self.config.seed;
+        let max_rounds = self.config.max_rounds;
+        let server_load = &mut self.server_load;
+        let rank_all: &[u32] = &request_rank[..total_requests];
+        rayon::join(
+            || match online {
+                None => {
+                    for &packed in settled() {
+                        ball_assigned[(packed >> 32) as usize] = packed as u32;
                     }
-                    Some(online) => {
-                        // Settled balls record their latency and schedule their
-                        // departure. The service draw is keyed by ball id alone, and
-                        // departures only decrement loads, so piece order cannot leak
-                        // into anything observable. A departure falling beyond the
-                        // round cap is not scheduled: it could never be applied
-                        // within the run, and skipping it keeps the calendar bounded
-                        // by `max_rounds`.
-                        for p in descs_done.iter().flatten() {
-                            for &packed in &p.assigned_out[..p.counts.assigned as usize] {
-                                let ball = (packed >> 32) as usize;
-                                ball_assigned[ball] = packed as u32;
-                                online.settle_round[ball] = round;
-                                let service = online.workload.service_rounds(seed, ball as u64);
-                                if let Some(due) = round.checked_add(service) {
-                                    if due <= max_rounds {
-                                        let due = due as usize;
-                                        if online.depart_calendar.len() <= due {
-                                            online.depart_calendar.resize_with(due + 1, Vec::new);
-                                        }
-                                        online.depart_calendar[due].push(packed as u32);
-                                    }
+                }
+                Some(online) => {
+                    // Settled balls record their latency and schedule their departure.
+                    // The service draw is keyed by ball id alone, and departures only
+                    // decrement loads, so chunk order cannot leak into anything
+                    // observable. A departure falling beyond the round cap is not
+                    // scheduled: it could never be applied within the run, and
+                    // skipping it keeps the calendar bounded by `max_rounds`.
+                    for &packed in settled() {
+                        let ball = (packed >> 32) as usize;
+                        ball_assigned[ball] = packed as u32;
+                        online.settle_round[ball] = round;
+                        let service = online.workload.service_rounds(seed, ball as u64);
+                        if let Some(due) = round.checked_add(service) {
+                            if due <= max_rounds {
+                                let due = due as usize;
+                                if online.depart_calendar.len() <= due {
+                                    online.depart_calendar.resize_with(due + 1, Vec::new);
                                 }
+                                online.depart_calendar[due].push(packed as u32);
                             }
                         }
                     }
-                },
-                || {
-                    // Each surplus accept frees the slot its server reserved in phase 2.
-                    for p in descs_done.iter().flatten() {
-                        for &server in &p.release_out[..p.counts.released as usize] {
+                }
+            },
+            || {
+                // Each surplus accept frees the slot its server reserved in phase 2.
+                // Only k-choice rounds can release, so single-choice runs skip the scan.
+                if released > 0 {
+                    for (&rank, &server) in rank_all.iter().zip(req_all) {
+                        if rank == RELEASED {
                             server_load[server as usize] -= 1;
                         }
                     }
-                },
-            );
-        }
+                }
+            },
+        );
         std::mem::swap(&mut self.alive_balls, alive_next);
         self.in_service += balls_assigned;
 
         // Census — closed flags, closed count and max load folded in one pass over
-        // carved server ranges, reduced in piece-index order. The fold is cached so
+        // server chunks, reduced in chunk-index order. The fold is cached so
         // `result()` never re-scans the servers.
         let (closed_servers, max_load) = {
-            let census_pieces = plan.server;
+            let mut partials = [(0u64, 0u32); MAX_INTRA_PIECES];
             let states_all: &[u64] = &self.server_states;
             let loads_all: &[u32] = &self.server_load;
-            let mut descs: [Option<CensusPiece>; MAX_INTRA_PIECES] = std::array::from_fn(|_| None);
-            let mut closed_rest: &mut [bool] = closed;
-            let mut consumed = 0;
-            for (k, slot) in descs[..census_pieces].iter_mut().enumerate() {
-                let hi = piece_range(num_servers, census_pieces, k).end;
-                let (closed_piece, rest) =
-                    std::mem::take(&mut closed_rest).split_at_mut(hi - consumed);
-                closed_rest = rest;
-                *slot = Some(CensusPiece {
-                    states: &states_all[consumed..hi],
-                    loads: &loads_all[consumed..hi],
-                    closed: closed_piece,
-                    closed_count: 0,
-                    max_load: 0,
-                });
-                consumed = hi;
-            }
             let protocol = &*self.protocol;
-            drive_pieces(&mut descs[..census_pieces], |p| {
-                let mut count = 0u64;
-                let mut max = 0u32;
-                for ((flag, &state), &load) in
-                    p.closed.iter_mut().zip(p.states.iter()).zip(p.loads.iter())
-                {
-                    let is_closed = protocol.server_is_closed(state, load);
-                    *flag = is_closed;
-                    count += u64::from(is_closed);
-                    max = max.max(load);
-                }
-                p.closed_count = count;
-                p.max_load = max;
-            });
-            let mut total = 0u64;
-            let mut max = 0u32;
-            for p in descs[..census_pieces].iter().flatten() {
-                total += p.closed_count;
-                max = max.max(p.max_load);
-            }
-            (total, max)
+            (0..server_chunks)
+                .into_par_iter()
+                .zip(closed.par_chunks_mut(server_len))
+                .zip(partials.par_iter_mut())
+                .for_each(|((k, closed), (count, max))| {
+                    let lo = k * server_len;
+                    let servers = closed
+                        .iter_mut()
+                        .zip(&states_all[lo..])
+                        .zip(&loads_all[lo..]);
+                    for ((flag, &state), &load) in servers {
+                        *flag = protocol.server_is_closed(state, load);
+                        *count += u64::from(*flag);
+                        *max = (*max).max(load);
+                    }
+                });
+            partials[..server_chunks]
+                .iter()
+                .fold((0, 0), |(total, max), &(count, load)| {
+                    (total + count, max.max(load))
+                })
         };
         self.last_closed_servers = closed_servers;
         self.last_max_load = max_load;
@@ -1533,7 +1399,7 @@ mod tests {
     }
 
     /// Builds the within-segment ranks with a given sort-piece count via the same
-    /// three passes `step` drives, serially.
+    /// three passes over the same chunks `step` drives, serially.
     fn rank_with_pieces(
         request_server: &[u32],
         num_servers: usize,
@@ -1542,24 +1408,24 @@ mod tests {
         let len = request_server.len();
         let mut rank = vec![0u32; len];
         let mut totals = vec![0u32; num_servers];
-        if pieces == 1 {
+        let (chunk, chunks) = chunking(len, pieces);
+        if chunks <= 1 {
             sort_pass_histogram(request_server, &mut rank, &mut totals);
             return (rank, totals);
         }
-        let mut hist = vec![0u32; pieces * num_servers];
-        for k in 0..pieces {
-            let r = piece_range(len, pieces, k);
-            sort_pass_histogram(
-                &request_server[r.clone()],
-                &mut rank[r],
-                &mut hist[k * num_servers..(k + 1) * num_servers],
-            );
+        let mut hist = vec![0u32; chunks * num_servers];
+        let requests = request_server.chunks(chunk);
+        for ((req, rank), row) in requests
+            .clone()
+            .zip(rank.chunks_mut(chunk))
+            .zip(hist.chunks_mut(num_servers))
+        {
+            sort_pass_histogram(req, rank, row);
         }
-        let mut off = vec![0u32; pieces * num_servers];
+        let mut off = vec![0u32; chunks * num_servers];
         sort_pass_combine(&hist, num_servers, 0, &mut off, &mut totals);
-        for k in 0..pieces {
-            let r = piece_range(len, pieces, k);
-            sort_pass_rebase(&request_server[r.clone()], &mut rank[r], &off, k, pieces);
+        for (k, (req, rank)) in requests.zip(rank.chunks_mut(chunk)).enumerate() {
+            sort_pass_rebase(req, rank, &off, k, chunks);
         }
         (rank, totals)
     }
@@ -1600,7 +1466,9 @@ mod tests {
             cursor[s as usize] += 1;
         }
 
-        for pieces in [1, 2, 3, 8] {
+        // 31 requested pieces give 29 chunks of 7 requests.
+        assert_eq!(chunking(request_server.len(), 31), (7, 29));
+        for pieces in [1, 2, 3, 8, 31] {
             let (rank, totals) = rank_with_pieces(&request_server, num_servers, pieces);
             assert_eq!(totals, counts, "pieces={pieces}");
             // `base[s] + rank[i]` must be exactly where the reference scattered `i`.
@@ -1644,7 +1512,8 @@ mod tests {
     #[test]
     fn intra_step_pieces_do_not_change_results() {
         let g = generators::regular_random(96, 12, 33).unwrap();
-        let piece_grid = [Some(2), Some(5), Some(32), None];
+        // The first round sends 192 requests, which 31 pieces split into 28 chunks.
+        let piece_grid = [Some(2), Some(5), Some(7), Some(31), Some(32), None];
         // One-choice (no releases) and two-choice (surplus releases) protocols.
         let baseline = run_with_pieces(&g, OpensAt(3), Some(1));
         for pieces in piece_grid {
@@ -1757,6 +1626,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "ball-id limit")]
+    fn demand_beyond_the_ball_id_limit_panics() {
+        let g = generators::complete(2, 2).unwrap();
+        let _ = Simulation::builder(&g)
+            .protocol(AcceptAll)
+            .demand(Demand::Explicit(vec![u32::MAX, 1]))
+            .build();
+    }
+
+    #[test]
     #[should_panic(expected = "protocol is required")]
     fn builder_requires_a_protocol() {
         let g = generators::regular_random(4, 2, 5).unwrap();
@@ -1827,6 +1706,17 @@ mod tests {
         assert_eq!(result.total_messages, request_messages);
     }
 
+    /// The one server whose request `SettleRound::chunk` marked as a surplus accept.
+    fn released_server(rank: &[u32], request_server: &[u32]) -> u32 {
+        let mut released = rank
+            .iter()
+            .zip(request_server)
+            .filter(|(&r, _)| r == RELEASED);
+        let (_, &server) = released.next().expect("one surplus accept");
+        assert!(released.next().is_none(), "exactly one surplus accept");
+        server
+    }
+
     #[test]
     fn least_loaded_settle_prefers_light_servers() {
         // One ball, two accepted choices: server 0 carries load 5, server 1 load 2.
@@ -1836,28 +1726,23 @@ mod tests {
         let accept_count = [1u32, 1];
         let loads = [5u32, 2];
         let run_rule = |rule: SettleRule| {
+            let mut rank = request_rank;
             let mut alive_out = [0u32; 1];
             let mut assigned_out = [0u64; 1];
-            let mut release_out = [0u32; 2];
-            let mut piece = SettlePiece {
-                slot_lo: 0,
-                slots: &slots,
-                alive_out: &mut alive_out,
-                assigned_out: &mut assigned_out,
-                release_out: &mut release_out,
-                counts: SettleCounts::default(),
-            };
-            piece.run(
-                2,
+            let settle = SettleRound {
+                choices: 2,
                 rule,
-                &request_server,
-                &request_rank,
-                &accept_count,
-                &loads,
-            );
-            assert_eq!(piece.counts.assigned, 1);
-            assert_eq!(piece.counts.released, 1);
-            (assigned_out[0] as u32, release_out[0])
+                request_server: &request_server,
+                accept_count: &accept_count,
+                loads: &loads,
+            };
+            let counts = settle.chunk(0, &slots, &mut rank, &mut alive_out, &mut assigned_out);
+            assert_eq!(counts.assigned, 1);
+            assert_eq!(counts.released, 1);
+            (
+                assigned_out[0] as u32,
+                released_server(&rank, &request_server),
+            )
         };
         // First-accepted keeps the slot-order winner (server 0), releasing server 1.
         assert_eq!(run_rule(SettleRule::FirstAccepted), (0, 1));
@@ -1872,30 +1757,22 @@ mod tests {
         let request_rank = [0u32, 0];
         let accept_count = [0u32, 1, 0, 1];
         let loads = [0u32, 4, 0, 4];
+        let mut rank = request_rank;
         let mut alive_out = [0u32; 1];
         let mut assigned_out = [0u64; 1];
-        let mut release_out = [0u32; 2];
-        let mut piece = SettlePiece {
-            slot_lo: 0,
-            slots: &slots,
-            alive_out: &mut alive_out,
-            assigned_out: &mut assigned_out,
-            release_out: &mut release_out,
-            counts: SettleCounts::default(),
+        let settle = SettleRound {
+            choices: 2,
+            rule: SettleRule::LeastLoaded,
+            request_server: &request_server,
+            accept_count: &accept_count,
+            loads: &loads,
         };
-        piece.run(
-            2,
-            SettleRule::LeastLoaded,
-            &request_server,
-            &request_rank,
-            &accept_count,
-            &loads,
-        );
+        settle.chunk(0, &slots, &mut rank, &mut alive_out, &mut assigned_out);
         assert_eq!(
             assigned_out[0] as u32, 1,
             "equal loads: smallest index wins"
         );
-        assert_eq!(release_out[0], 3);
+        assert_eq!(released_server(&rank, &request_server), 3);
     }
 
     /// One slot per server, freed again when the occupant departs: the shape of an

@@ -17,8 +17,8 @@
 //! 1. the classic sequential path (`ThreadPool::install(1)` scopes the rayon stub to
 //!    one thread, exactly the pre-pool behaviour),
 //! 2. the same single-thread scope with the intra-round piece plan forced to 8, so
-//!    the parallel sort / decide / settle / census code paths (carved descriptors,
-//!    piece merges, surplus releases) run through the counted window, and
+//!    the parallel sort / decide / settle / census code paths (chunked drives,
+//!    chunk-order merges, surplus releases) run through the counted window, and
 //! 3. `step()` running *on pool workers* — how `Scenario::run` executes trials.
 //!    Since the pool's work-stealing rewrite, nested drives **fan out** from workers
 //!    instead of running sequentially, and fanning out dispatches real jobs: piece
@@ -212,8 +212,8 @@ fn round_loop_is_allocation_free_after_build() {
 #[test]
 fn round_loop_is_allocation_free_with_forced_intra_pieces() {
     // Forcing the piece plan to 8 on instances this small routes every phase through
-    // the carved-descriptor parallel path (three-pass sort, per-piece settle scratch,
-    // surplus releases) — the descriptors live on the stack and all scratch is in
+    // the chunked parallel path (three-pass sort, per-chunk settle scratch, surplus
+    // releases) — per-chunk tallies live in stack arrays and all scratch is in
     // RoundBuffers, so the counted window must stay at exactly zero.
     let sequential = rayon::ThreadPoolBuilder::new()
         .num_threads(1)
