@@ -1531,6 +1531,22 @@ mod tests {
                 "pieces={pieces:?}"
             );
         }
+        // A small SAER threshold settles balls round by round, so the request count
+        // (and with it the sort's chunk count) falls: a sort that read histogram rows
+        // left over from an earlier, larger round would diverge here.
+        let baseline = run_with_pieces(&g, SaerRule(3), Some(1));
+        let sent: Vec<u64> = baseline.0.iter().map(|r| r.requests_sent).collect();
+        assert!(
+            sent.len() >= 3 && sent.windows(2).all(|w| w[1] <= w[0]) && sent[2] < sent[0],
+            "expected a falling request count, got {sent:?}"
+        );
+        for pieces in piece_grid {
+            assert_eq!(
+                run_with_pieces(&g, SaerRule(3), pieces),
+                baseline,
+                "pieces={pieces:?}"
+            );
+        }
     }
 
     /// SAER's rule with threshold `c·d`: accept while the cumulative received count

@@ -4,14 +4,20 @@ use crate::{
     ids::{ClientId, ServerId},
     GraphError, Result,
 };
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+
+/// Minimum edges per construction piece; smaller inputs are built in one piece.
+const MIN_EDGE_PIECE: usize = 1 << 14;
+
+/// Upper bound on the number of pieces a construction pass is split into.
+const MAX_PIECES: usize = 32;
 
 /// An immutable bipartite client-server graph in compressed sparse row form.
 ///
-/// Adjacency is stored in both directions:
-/// * client → servers, for the protocols (a client only ever contacts `N(v)`);
-/// * server → clients, for the analysis observers (e.g. computing `r_t(N(v))` and the
-///   burned fraction `S_t(v)` requires walking server neighbourhoods).
+/// Only the client side is stored as adjacency: the protocols walk client
+/// neighbourhoods (a client only ever contacts `N(v)`), while a server only counts
+/// the requests it receives, so the server side keeps just its degrees.
 ///
 /// The graph is *simple*: no duplicate (client, server) edges. Multi-edges would skew
 /// the uniform-neighbour sampling distribution the paper's protocols rely on, so the
@@ -22,8 +28,7 @@ pub struct BipartiteGraph {
     num_servers: usize,
     client_offsets: Vec<u64>,
     client_edges: Vec<ServerId>,
-    server_offsets: Vec<u64>,
-    server_edges: Vec<ClientId>,
+    server_degrees: Vec<u32>,
 }
 
 impl BipartiteGraph {
@@ -31,76 +36,61 @@ impl BipartiteGraph {
     ///
     /// The edge list may be in any order; it must not contain duplicates (use
     /// [`crate::GraphBuilder`] if de-duplication is wanted). Every index must be in
-    /// range.
+    /// range. On bad input the error names the first out-of-range edge in list order
+    /// (its client before its server), else the lowest duplicate (client, server).
+    ///
+    /// Validation and the per-client sort run in pieces whose count depends on the
+    /// edge count alone, and pieces report in index order, so the result is the same
+    /// at every thread count.
     pub fn from_edges(
         num_clients: usize,
         num_servers: usize,
         edges: &[(u32, u32)],
     ) -> Result<Self> {
-        // Count degrees first.
-        let mut client_deg = vec![0u64; num_clients];
-        let mut server_deg = vec![0u64; num_servers];
-        for &(c, s) in edges {
-            let (ci, si) = (c as usize, s as usize);
-            if ci >= num_clients {
-                return Err(GraphError::ClientOutOfRange {
-                    client: ci,
-                    num_clients,
-                });
-            }
-            if si >= num_servers {
-                return Err(GraphError::ServerOutOfRange {
-                    server: si,
-                    num_servers,
-                });
-            }
-            client_deg[ci] += 1;
-            server_deg[si] += 1;
+        let pieces = (edges.len() / MIN_EDGE_PIECE).clamp(1, MAX_PIECES);
+        if let Some(err) = first_out_of_range(edges, num_clients, num_servers, pieces) {
+            return Err(err);
         }
 
-        let client_offsets = prefix_sum(&client_deg);
-        let server_offsets = prefix_sum(&server_deg);
-
+        // Stable counting scatter into the client side.
+        let mut cursor = vec![0u64; num_clients];
+        for &(c, _) in edges {
+            cursor[c as usize] += 1;
+        }
+        let mut client_offsets = Vec::with_capacity(num_clients + 1);
+        let mut acc = 0u64;
+        client_offsets.push(0);
+        for slot in cursor.iter_mut() {
+            let degree = *slot;
+            *slot = acc;
+            acc += degree;
+            client_offsets.push(acc);
+        }
         let mut client_edges = vec![ServerId(0); edges.len()];
-        let mut server_edges = vec![ClientId(0); edges.len()];
-        // One cursor buffer serves both scatters (refilled from the offsets per
-        // side) instead of cloning each offset vector — graph build is on the
-        // n = 10^7 critical path via snapshot decode, where those clones were two
-        // extra O(n) allocations.
-        let mut cursor: Vec<u64> = Vec::with_capacity(num_clients.max(num_servers));
-        cursor.extend_from_slice(&client_offsets[..num_clients]);
         for &(c, s) in edges {
             let slot = &mut cursor[c as usize];
             client_edges[*slot as usize] = ServerId(s);
             *slot += 1;
         }
-        cursor.clear();
-        cursor.extend_from_slice(&server_offsets[..num_servers]);
-        for &(c, s) in edges {
-            let slot = &mut cursor[s as usize];
-            server_edges[*slot as usize] = ClientId(c);
-            *slot += 1;
-        }
 
         // Canonical per-range order makes equality, snapshots and duplicate
-        // detection deterministic. The two sides are disjoint buffers, so they sort
-        // as the two arms of a join; duplicate detection rides along in the client
-        // walk (an edge list has a duplicate iff some client range has adjacent
-        // equal entries once sorted — the server side mirrors the same multiset).
-        let (duplicate, ()) = rayon::join(
-            || sort_ranges_detect_duplicate(&client_offsets, &mut client_edges),
-            || sort_ranges(&server_offsets, &mut server_edges),
-        );
-        if let Some((client, server)) = duplicate {
+        // detection deterministic.
+        if let Some((client, server)) =
+            sort_client_ranges(&client_offsets, &mut client_edges, pieces)
+        {
             return Err(GraphError::DuplicateEdge { client, server });
+        }
+
+        let mut server_degrees = vec![0u32; num_servers];
+        for s in &client_edges {
+            server_degrees[s.index()] += 1;
         }
         Ok(Self {
             num_clients,
             num_servers,
             client_offsets,
             client_edges,
-            server_offsets,
-            server_edges,
+            server_degrees,
         })
     }
 
@@ -109,14 +99,6 @@ impl BipartiteGraph {
         (
             self.client_offsets[c] as usize,
             self.client_offsets[c + 1] as usize,
-        )
-    }
-
-    #[inline]
-    fn server_range(&self, s: usize) -> (usize, usize) {
-        (
-            self.server_offsets[s] as usize,
-            self.server_offsets[s + 1] as usize,
         )
     }
 
@@ -145,13 +127,6 @@ impl BipartiteGraph {
         &self.client_edges[lo..hi]
     }
 
-    /// The clients adjacent to server `u` — the neighbourhood `N(u)`.
-    #[inline]
-    pub fn server_neighbors(&self, u: ServerId) -> &[ClientId] {
-        let (lo, hi) = self.server_range(u.index());
-        &self.server_edges[lo..hi]
-    }
-
     /// Degree of client `v`, written `Δ_v` in the paper.
     #[inline]
     pub fn client_degree(&self, v: ClientId) -> usize {
@@ -162,8 +137,7 @@ impl BipartiteGraph {
     /// Degree of server `u`, written `Δ_u` in the paper.
     #[inline]
     pub fn server_degree(&self, u: ServerId) -> usize {
-        let (lo, hi) = self.server_range(u.index());
-        hi - lo
+        self.server_degrees[u.index()] as usize
     }
 
     /// Returns `true` if the edge (v, u) is present. Binary search, `O(log Δ_v)`.
@@ -194,39 +168,78 @@ impl BipartiteGraph {
     }
 }
 
-/// Sorts each CSR range (`offsets[i]..offsets[i + 1]`) in place.
-fn sort_ranges<T: Ord>(offsets: &[u64], edges: &mut [T]) {
-    for w in offsets.windows(2) {
-        edges[w[0] as usize..w[1] as usize].sort_unstable();
-    }
+/// Checks every index in `pieces` contiguous edge chunks and returns the error of the
+/// first out-of-range edge in list order (its client checked before its server).
+fn first_out_of_range(
+    edges: &[(u32, u32)],
+    num_clients: usize,
+    num_servers: usize,
+    pieces: usize,
+) -> Option<GraphError> {
+    let chunk = edges.len().div_ceil(pieces).max(1);
+    let found: Vec<Option<GraphError>> = (0..edges.len().div_ceil(chunk))
+        .into_par_iter()
+        .map(|k| {
+            let piece = &edges[k * chunk..((k + 1) * chunk).min(edges.len())];
+            piece.iter().find_map(|&(c, s)| {
+                let (client, server) = (c as usize, s as usize);
+                if client >= num_clients {
+                    Some(GraphError::ClientOutOfRange {
+                        client,
+                        num_clients,
+                    })
+                } else if server >= num_servers {
+                    Some(GraphError::ServerOutOfRange {
+                        server,
+                        num_servers,
+                    })
+                } else {
+                    None
+                }
+            })
+        })
+        .collect();
+    found.into_iter().flatten().next()
 }
 
-/// Sorts each client CSR range in place and reports the first duplicate as
-/// `(client, server)` — the adjacent-equal check runs in the same walk as the sort,
-/// in ascending client order, so the reported edge matches what a separate
-/// ascending scan of the sorted adjacency would have found.
-fn sort_ranges_detect_duplicate(offsets: &[u64], edges: &mut [ServerId]) -> Option<(usize, usize)> {
-    for (client, w) in offsets.windows(2).enumerate() {
-        let range = &mut edges[w[0] as usize..w[1] as usize];
-        range.sort_unstable();
-        for pair in range.windows(2) {
-            if pair[0] == pair[1] {
-                return Some((client, pair[0].index()));
-            }
-        }
+/// Sorts each client's CSR range in place, over `pieces` contiguous client pieces,
+/// and reports the lowest duplicate `(client, server)`. A range that is already
+/// strictly increasing is neither sorted nor has duplicates, so it costs one scan.
+fn sort_client_ranges(
+    offsets: &[u64],
+    edges: &mut [ServerId],
+    pieces: usize,
+) -> Option<(usize, usize)> {
+    let num_clients = offsets.len() - 1;
+    let chunk = num_clients.div_ceil(pieces).max(1);
+    // Cut the edge buffer at client-chunk boundaries: piece k owns clients
+    // `first..first + chunk` and exactly their edges.
+    let mut parts = Vec::with_capacity(pieces);
+    let mut rest = edges;
+    for first in (0..num_clients).step_by(chunk) {
+        let end = (first + chunk).min(num_clients);
+        let (part, tail) = rest.split_at_mut((offsets[end] - offsets[first]) as usize);
+        parts.push((first, &offsets[first..=end], part));
+        rest = tail;
     }
-    None
-}
-
-fn prefix_sum(degrees: &[u64]) -> Vec<u64> {
-    let mut offsets = Vec::with_capacity(degrees.len() + 1);
-    let mut acc = 0u64;
-    offsets.push(0);
-    for &d in degrees {
-        acc += d;
-        offsets.push(acc);
-    }
-    offsets
+    let found: Vec<Option<(usize, usize)>> = parts
+        .into_par_iter()
+        .map(|(first, offsets, part)| {
+            let base = offsets[0];
+            offsets.windows(2).enumerate().find_map(|(i, w)| {
+                let range = &mut part[(w[0] - base) as usize..(w[1] - base) as usize];
+                if range.windows(2).all(|p| p[0] < p[1]) {
+                    return None;
+                }
+                range.sort_unstable();
+                range
+                    .windows(2)
+                    .find(|p| p[0] == p[1])
+                    .map(|p| (first + i, p[0].index()))
+            })
+        })
+        .collect();
+    found.into_iter().flatten().next()
 }
 
 #[cfg(test)]
@@ -260,10 +273,10 @@ mod tests {
             g.client_neighbors(ClientId(1)),
             &[ServerId(1), ServerId(2), ServerId(3)]
         );
-        assert_eq!(g.server_neighbors(ServerId(1)), &[ClientId(0), ClientId(1)]);
-        // Every client edge appears in the corresponding server list and vice versa.
-        for (c, s) in g.edges() {
-            assert!(g.server_neighbors(s).contains(&c));
+        // Every server's degree counts exactly the client lists it appears in.
+        for s in g.servers() {
+            let fan_in = g.clients().filter(|&c| g.has_edge(c, s)).count();
+            assert_eq!(g.server_degree(s), fan_in);
         }
     }
 
@@ -306,6 +319,83 @@ mod tests {
                 server: 1
             }
         ));
+    }
+
+    /// The lowest (client, server) pair that occurs more than once, found naively.
+    fn lowest_duplicate(edges: &[(u32, u32)]) -> Option<(usize, usize)> {
+        let mut sorted = edges.to_vec();
+        sorted.sort_unstable();
+        sorted
+            .windows(2)
+            .find(|w| w[0] == w[1])
+            .map(|w| (w[0].0 as usize, w[0].1 as usize))
+    }
+
+    #[test]
+    fn from_edges_agrees_across_pieces() {
+        // 8192 clients of degree 8 over 1024 servers: four construction pieces.
+        let (clients, servers) = (8192usize, 1024usize);
+        let mut sorted: Vec<(u32, u32)> = (0..clients)
+            .flat_map(|c| (0..8).map(move |i| (c as u32, ((c * 7 + i * 131) % servers) as u32)))
+            .collect();
+        sorted.sort_unstable();
+        let n = sorted.len();
+        assert!(n >= 3 * MIN_EDGE_PIECE);
+        let chunk = n.div_ceil((n / MIN_EDGE_PIECE).clamp(1, MAX_PIECES));
+        // 40503 is odd, so `j ↦ 40503·j mod 2¹⁶` permutes the positions.
+        let scrambled: Vec<(u32, u32)> = (0..n).map(|j| sorted[(j * 40_503) % n]).collect();
+        assert_ne!(scrambled, sorted);
+
+        let g = BipartiteGraph::from_edges(clients, servers, &scrambled).unwrap();
+        assert_eq!(
+            g,
+            BipartiteGraph::from_edges(clients, servers, &sorted).unwrap()
+        );
+        let canonical: Vec<(u32, u32)> = g.edges().map(|(c, s)| (c.0, s.0)).collect();
+        assert_eq!(canonical, sorted);
+
+        // A high client's duplicate early in the list, then two of client 1's edges
+        // copied into the last piece: the lowest pair wins, not the first one seen.
+        let mut dup = scrambled.clone();
+        let high = sorted[8 * 8000];
+        let (low_a, low_b) = (sorted[8], sorted[9]);
+        for (pos, edge) in [(5, high), (n - 2, low_b), (n - 1, low_a)] {
+            assert_ne!(dup[pos], edge);
+            dup[pos] = edge;
+        }
+        assert!(n - 2 >= 3 * chunk);
+        let want = lowest_duplicate(&dup).unwrap();
+        assert_eq!(want, (1, low_a.1.min(low_b.1) as usize));
+        let err = BipartiteGraph::from_edges(clients, servers, &dup).unwrap_err();
+        assert_eq!(
+            err,
+            GraphError::DuplicateEdge {
+                client: want.0,
+                server: want.1
+            }
+        );
+
+        // Out-of-range edges in the last two pieces: the earlier one is reported,
+        // even though the later one is bad on both sides.
+        let mut bad = scrambled;
+        bad[n - 1] = (clients as u32 + 5, servers as u32 + 5);
+        let later = BipartiteGraph::from_edges(clients, servers, &bad).unwrap_err();
+        assert_eq!(
+            later,
+            GraphError::ClientOutOfRange {
+                client: clients + 5,
+                num_clients: clients
+            }
+        );
+        bad[2 * chunk + 7] = (0, servers as u32);
+        let err = BipartiteGraph::from_edges(clients, servers, &bad).unwrap_err();
+        assert_eq!(
+            err,
+            GraphError::ServerOutOfRange {
+                server: servers,
+                num_servers: servers
+            }
+        );
     }
 
     #[test]

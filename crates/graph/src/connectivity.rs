@@ -1,11 +1,10 @@
 //! Connectivity analysis of bipartite graphs.
 //!
 //! Connectivity is not required by Theorem 1, but disconnected or fragmented topologies
-//! are useful failure-injection workloads for the test suite, and the experiment
-//! harness reports the number of connected components of every generated graph so that
-//! anomalous runs can be explained.
+//! are useful failure-injection workloads for the test suite; [`Components`] labels
+//! the connected components of a graph.
 
-use crate::{bipartite::BipartiteGraph, ClientId, ServerId};
+use crate::{bipartite::BipartiteGraph, ClientId};
 
 /// The result of a connected-components sweep over a bipartite graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -19,71 +18,39 @@ pub struct Components {
 }
 
 impl Components {
-    /// Computes connected components with an iterative BFS over both sides.
+    /// Computes connected components with a union-find over the client neighbourhoods.
+    ///
+    /// Labels are dense and given in order of first appearance: clients in ascending
+    /// order, then the isolated servers (no incident edges) in ascending order.
     pub fn of(g: &BipartiteGraph) -> Self {
-        const UNVISITED: u32 = u32::MAX;
-        let mut client_component = vec![UNVISITED; g.num_clients()];
-        let mut server_component = vec![UNVISITED; g.num_servers()];
+        // Nodes `0..C` are the clients, `C..C + S` the servers.
+        let num_clients = g.num_clients();
+        let mut parent: Vec<usize> = (0..num_clients + g.num_servers()).collect();
+        for c in 0..num_clients {
+            for &s in g.client_neighbors(ClientId::new(c)) {
+                let a = find(&mut parent, c);
+                let b = find(&mut parent, num_clients + s.index());
+                // Linking to the smaller root keeps every root the lowest node of
+                // its component.
+                parent[a.max(b)] = a.min(b);
+            }
+        }
+
+        const UNLABELED: u32 = u32::MAX;
+        let mut label = vec![UNLABELED; parent.len()];
         let mut next_label = 0u32;
-        let mut queue: std::collections::VecDeque<Node> = std::collections::VecDeque::new();
-
-        #[derive(Clone, Copy)]
-        enum Node {
-            Client(usize),
-            Server(usize),
-        }
-
-        let visit_from_client = |start: usize,
-                                 client_component: &mut Vec<u32>,
-                                 server_component: &mut Vec<u32>,
-                                 queue: &mut std::collections::VecDeque<Node>,
-                                 label: u32| {
-            client_component[start] = label;
-            queue.push_back(Node::Client(start));
-            while let Some(node) = queue.pop_front() {
-                match node {
-                    Node::Client(c) => {
-                        for &s in g.client_neighbors(ClientId::new(c)) {
-                            if server_component[s.index()] == UNVISITED {
-                                server_component[s.index()] = label;
-                                queue.push_back(Node::Server(s.index()));
-                            }
-                        }
-                    }
-                    Node::Server(s) => {
-                        for &c in g.server_neighbors(ServerId::new(s)) {
-                            if client_component[c.index()] == UNVISITED {
-                                client_component[c.index()] = label;
-                                queue.push_back(Node::Client(c.index()));
-                            }
-                        }
-                    }
-                }
-            }
-        };
-
-        for c in 0..g.num_clients() {
-            if client_component[c] == UNVISITED {
-                visit_from_client(
-                    c,
-                    &mut client_component,
-                    &mut server_component,
-                    &mut queue,
-                    next_label,
-                );
+        let mut components = Vec::with_capacity(parent.len());
+        for node in 0..parent.len() {
+            let root = find(&mut parent, node);
+            if label[root] == UNLABELED {
+                label[root] = next_label;
                 next_label += 1;
             }
+            components.push(label[root]);
         }
-        // Isolated servers (no incident edges) each form their own component.
-        for component in server_component.iter_mut() {
-            if *component == UNVISITED {
-                *component = next_label;
-                next_label += 1;
-            }
-        }
-
+        let server_component = components.split_off(num_clients);
         Self {
-            client_component,
+            client_component: components,
             server_component,
             count: next_label as usize,
         }
@@ -93,6 +60,15 @@ impl Components {
     pub fn is_connected(&self) -> bool {
         self.count <= 1
     }
+}
+
+/// Root of `node`'s set, halving the path on the way up.
+fn find(parent: &mut [usize], mut node: usize) -> usize {
+    while parent[node] != node {
+        parent[node] = parent[parent[node]];
+        node = parent[node];
+    }
+    node
 }
 
 #[cfg(test)]

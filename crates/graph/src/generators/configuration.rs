@@ -11,7 +11,6 @@
 use crate::{bipartite::BipartiteGraph, GraphError, Result};
 use clb_rng::domains::GENERATOR_DOMAIN;
 use clb_rng::{shuffle, RandomSource, StreamFactory};
-use std::collections::HashMap;
 
 /// Generates a uniform-ish random *simple* bipartite graph with the given degree
 /// sequences.
@@ -73,26 +72,42 @@ pub fn configuration_model(
     }
     shuffle(&mut server_of, &mut rng);
 
-    // Multiset of edges; a position is "bad" while its edge has multiplicity > 1.
-    // Lookups and entry updates only — the repair loop walks positions in index
-    // order, never the map.
-    // clb-audit: allow(unordered-collection) -- membership/count lookups only
-    let mut multiplicity: HashMap<(u32, u32), u32> = HashMap::with_capacity(total * 2);
-    for p in 0..total {
-        *multiplicity
-            .entry((client_of[p], server_of[p]))
-            .or_insert(0) += 1;
+    // Client c's stubs are the fixed positions `start[c]..start[c + 1]` and repairs
+    // only swap `server_of` entries, so the multiplicity of edge (c, s) is the number
+    // of times s occurs in c's slice. A position is "bad" while its edge occurs more
+    // than once.
+    let mut start = Vec::with_capacity(num_clients + 1);
+    start.push(0usize);
+    for &d in client_degrees {
+        start.push(start[start.len() - 1] + d);
     }
-    let mut worklist: Vec<usize> = (0..total)
-        .filter(|&p| multiplicity[&(client_of[p], server_of[p])] > 1)
-        .collect();
+    let stubs_of = |c: u32| start[c as usize]..start[c as usize + 1];
+
+    // The initial worklist holds every bad position, client by client in ascending
+    // position order.
+    let mut worklist: Vec<usize> = Vec::new();
+    let mut sorted: Vec<u32> = Vec::new();
+    for c in 0..num_clients as u32 {
+        sorted.clear();
+        sorted.extend_from_slice(&server_of[stubs_of(c)]);
+        sorted.sort_unstable();
+        if sorted.windows(2).all(|w| w[0] != w[1]) {
+            continue;
+        }
+        // In `sorted`, the first copy of s is followed by a second exactly when s
+        // repeats.
+        worklist.extend(stubs_of(c).filter(|&p| {
+            let first = sorted.partition_point(|&x| x < server_of[p]);
+            sorted.get(first + 1) == Some(&server_of[p])
+        }));
+    }
 
     // Each repair needs O(1) expected proposals in the sparse regime; the budget is
     // generous so that legitimate dense cases still succeed.
     let mut budget: u64 = 200 * (worklist.len() as u64 + 1) + 10_000;
     while let Some(p) = worklist.pop() {
-        let edge_p = (client_of[p], server_of[p]);
-        if multiplicity.get(&edge_p).copied().unwrap_or(0) <= 1 {
+        let (c, s) = (client_of[p], server_of[p]);
+        if server_of[stubs_of(c)].iter().filter(|&&x| x == s).count() <= 1 {
             continue; // already repaired by an earlier swap
         }
         loop {
@@ -107,40 +122,24 @@ pub fn configuration_model(
             if q == p {
                 continue;
             }
-            let edge_q = (client_of[q], server_of[q]);
             let new_p = (client_of[p], server_of[q]);
             let new_q = (client_of[q], server_of[p]);
             if new_p == new_q {
                 continue;
             }
-            if multiplicity.get(&new_p).copied().unwrap_or(0) > 0
-                || multiplicity.get(&new_q).copied().unwrap_or(0) > 0
+            if server_of[stubs_of(new_p.0)].contains(&new_p.1)
+                || server_of[stubs_of(new_q.0)].contains(&new_q.1)
             {
                 continue;
             }
-            // Perform the swap: both old edges lose one copy, both new edges are unique.
-            decrement(&mut multiplicity, edge_p);
-            decrement(&mut multiplicity, edge_q);
+            // Both new edges are unique; both old edges lose one copy.
             server_of.swap(p, q);
-            multiplicity.insert(new_p, 1);
-            multiplicity.insert(new_q, 1);
             break;
         }
     }
 
     let edges: Vec<(u32, u32)> = client_of.into_iter().zip(server_of).collect();
     BipartiteGraph::from_edges(num_clients, num_servers, &edges)
-}
-
-// clb-audit: allow(unordered-collection) -- keyed update of a single entry
-fn decrement(map: &mut HashMap<(u32, u32), u32>, key: (u32, u32)) {
-    if let Some(v) = map.get_mut(&key) {
-        if *v <= 1 {
-            map.remove(&key);
-        } else {
-            *v -= 1;
-        }
-    }
 }
 
 #[cfg(test)]

@@ -63,11 +63,16 @@ mod tests {
             assert_eq!(g.num_servers(), n, "{name}");
             let stats = DegreeStats::of(&g);
             assert!(stats.num_edges > 0, "{name} generated no edges");
-            // CSR symmetry: every client edge is mirrored on the server side.
-            for (c, s) in g.edges() {
-                assert!(
-                    g.server_neighbors(s).contains(&c),
-                    "{name}: asymmetric edge"
+            // Server degrees count exactly the client edges that reach each server.
+            let mut fan_in = vec![0usize; g.num_servers()];
+            for (_, s) in g.edges() {
+                fan_in[s.index()] += 1;
+            }
+            for s in g.servers() {
+                assert_eq!(
+                    g.server_degree(s),
+                    fan_in[s.index()],
+                    "{name}: server degree"
                 );
             }
         }

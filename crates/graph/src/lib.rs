@@ -5,8 +5,8 @@
 //! allowed to send requests to server `u` (proximity / trust constraint). This crate
 //! provides:
 //!
-//! * [`BipartiteGraph`] — an immutable, cache-friendly CSR representation with adjacency
-//!   in *both* directions (client → servers and server → clients);
+//! * [`BipartiteGraph`] — an immutable, cache-friendly CSR representation of the
+//!   client → servers adjacency, plus every server's degree;
 //! * [`builder::GraphBuilder`] — incremental construction from edge lists with
 //!   validation and de-duplication;
 //! * [`generators`] — every topology family used by the experiments in DESIGN.md §5:

@@ -8,8 +8,9 @@
 //! change to a generator's internals that is meant to be a pure speed-up.
 //!
 //! The matrix covers all eight `GraphSpec` families at `n ≤ 4096` with three seeds
-//! each, plus one 2¹⁴-node `Regular` and `AlmostRegular` graph at the `log²n` degree,
-//! where the configuration model's duplicate repair does real work.
+//! each, plus one 2¹⁴-node `Regular` graph at Δ = log²n and one 2¹⁴-node
+//! `AlmostRegular` graph, where the configuration model's duplicate repair does real
+//! work.
 //!
 //! If this test fails, some generator now returns a different graph. That is only
 //! acceptable for a deliberate change of the generator, in which case regenerate the
